@@ -10,6 +10,7 @@
 
 pub mod alloc;
 pub mod check;
+pub mod cpu;
 pub mod load;
 pub mod report;
 pub mod stats;

@@ -6,7 +6,10 @@
 //! pattern of every answer it computed. The log is the in-process
 //! reference each answer a client received is checked against: one
 //! wrapper per served epoch, so a wrapper's log is that epoch's reference.
+//! It also logs the CPU time of each pair's query, read from the clock of
+//! the thread that ran it.
 
+use crate::cpu;
 use crate::trace;
 use psh_core::oracle::QueryResult;
 use psh_core::{DistanceOracle, OracleDescriptor};
@@ -25,6 +28,7 @@ pub fn pair_key(s: VertexId, t: VertexId) -> u64 {
 pub struct TracedOracle {
     inner: Arc<dyn DistanceOracle>,
     log: Mutex<AnswerLog>,
+    cpu_ms: Mutex<Vec<f64>>,
 }
 
 #[derive(Default)]
@@ -40,6 +44,7 @@ impl TracedOracle {
         TracedOracle {
             inner,
             log: Mutex::new(AnswerLog::default()),
+            cpu_ms: Mutex::new(Vec::new()),
         }
     }
 
@@ -56,6 +61,12 @@ impl TracedOracle {
     /// Pairs this oracle answered twice with different bits.
     pub fn conflicts(&self) -> u64 {
         self.log().conflicts
+    }
+
+    /// The CPU milliseconds of every query computed since the last call,
+    /// one sample per pair; clears the log.
+    pub fn take_cpu_ms(&self) -> Vec<f64> {
+        std::mem::take(&mut *self.cpu_ms.lock().expect("CPU log poisoned by a panic"))
     }
 
     fn log(&self) -> std::sync::MutexGuard<'_, AnswerLog> {
@@ -76,7 +87,14 @@ impl TracedOracle {
 
     fn traced_query(&self, parent: u64, s: VertexId, t: VertexId) -> (QueryResult, Cost) {
         let _g = trace::span("oracle.query", parent, pair_key(s, t));
-        self.inner.query(s, t)
+        let t0 = cpu::thread_s();
+        let answer = self.inner.query(s, t);
+        let ms = (cpu::thread_s() - t0) * 1e3;
+        self.cpu_ms
+            .lock()
+            .expect("CPU log poisoned by a panic")
+            .push(ms);
+        answer
     }
 }
 

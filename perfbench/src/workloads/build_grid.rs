@@ -1,12 +1,15 @@
-//! `build-grid`: repeated preprocessing of a 500×500 king-move grid.
+//! `build-grid`: repeated preprocessing of a 250×250 king-move grid.
 //!
 //! Each timed iteration builds the unweighted 4-spanner of the unit-weight
 //! grid, the weighted 4-spanner of its log-uniform reweighting (ratio 64),
 //! and the weighted oracle, all under [`POLICY`]. No queries are timed.
+//! Each build is timed by the process CPU clock and, for the per-layer
+//! report, by the wall clock.
 
-use super::{repeated_setup, setup_reps, timed, trace_path, Args, Values, POLICY};
+use super::{repeated_setup, setup_reps, timed, trace_path, Args, Values, PARALLEL, POLICY};
 use crate::alloc;
 use crate::check::sampled_edge_stretch;
+use crate::cpu;
 use crate::load;
 use crate::report::Outcome;
 use crate::stats::{median, percentile};
@@ -18,11 +21,10 @@ use psh_core::spanner::unweighted::beta_for;
 use psh_core::{
     ApproxShortestPaths, HopsetBuilder, HopsetParams, OracleBuilder, Run, Spanner, SpannerBuilder,
 };
-use psh_exec::ExecutionPolicy;
 use psh_graph::{generators, CsrGraph, LoadMode};
 use std::time::Instant;
 
-const SIDE: usize = 500;
+const SIDE: usize = 250;
 const WEIGHT_RATIO: f64 = 64.0;
 /// Spanner stretch parameter `k`.
 const K: f64 = 4.0;
@@ -50,38 +52,45 @@ struct Built {
     oracle: Run<ApproxShortestPaths>,
 }
 
-/// One iteration's timings (seconds) and peak heap.
+/// One iteration's timings (CPU seconds unless named `wall`) and peak
+/// heap.
 struct IterStats {
     spanner_u_s: f64,
     spanner_w_s: f64,
     oracle_s: f64,
     total_s: f64,
+    oracle_wall_s: f64,
+    total_wall_s: f64,
     peak: f64,
 }
 
 fn iteration(inp: &Inputs) -> Result<(Built, IterStats), String> {
     alloc::reset_peak();
     let t0 = Instant::now();
-    let (spanner_u, spanner_u_s) = timed(|| {
+    let c0 = cpu::process_s();
+    let (spanner_u, spanner_u_s) = cpu::timed(|| {
         trace::in_span("build.spanner_u", 0, 0, || {
             SpannerBuilder::unweighted(K)
                 .execution(POLICY)
                 .build(&inp.unit)
         })
     });
-    let (spanner_w, spanner_w_s) = timed(|| {
+    let (spanner_w, spanner_w_s) = cpu::timed(|| {
         trace::in_span("build.spanner_w", 0, 0, || {
             SpannerBuilder::weighted(K)
                 .execution(POLICY)
                 .build(&inp.weighted)
         })
     });
-    let (oracle, oracle_s) = timed(|| {
+    let w0 = Instant::now();
+    let (oracle, oracle_s) = cpu::timed(|| {
         trace::in_span("build.oracle", 0, 0, || {
             OracleBuilder::new().execution(POLICY).build(&inp.weighted)
         })
     });
-    let total_s = t0.elapsed().as_secs_f64();
+    let oracle_wall_s = w0.elapsed().as_secs_f64();
+    let total_s = cpu::process_s() - c0;
+    let total_wall_s = t0.elapsed().as_secs_f64();
     let built = Built {
         spanner_u: spanner_u.map_err(|e| format!("unweighted spanner: {e}"))?,
         spanner_w: spanner_w.map_err(|e| format!("weighted spanner: {e}"))?,
@@ -92,19 +101,23 @@ fn iteration(inp: &Inputs) -> Result<(Built, IterStats), String> {
         spanner_w_s,
         oracle_s,
         total_s,
+        oracle_wall_s,
+        total_wall_s,
         peak: alloc::peak_bytes() as f64,
     };
     Ok((built, stats))
 }
 
-/// Iterate for `seconds` (at least two iterations). Every iteration must
-/// rebuild artifacts of the same size (same seed, same bytes).
-fn measure(
-    inp: &Inputs,
-    seconds: f64,
-    out: &mut Outcome,
-) -> Result<(Built, Vec<IterStats>, f64), String> {
+/// What [`measure`] returns: the last iteration's artifacts, every
+/// iteration's figures, and the window's wall and process CPU seconds.
+type Measured = (Built, Vec<IterStats>, f64, f64);
+
+/// Iterate for `seconds` of wall time (at least two iterations). Every
+/// iteration must rebuild artifacts of the same size (same seed, same
+/// bytes).
+fn measure(inp: &Inputs, seconds: f64, out: &mut Outcome) -> Result<Measured, String> {
     let start = Instant::now();
+    let cpu0 = cpu::process_s();
     let mut iters = Vec::new();
     let mut last: Option<Built> = None;
     let mut sizes = None;
@@ -132,6 +145,7 @@ fn measure(
         last.expect("two iterations"),
         iters,
         start.elapsed().as_secs_f64(),
+        cpu::process_s() - cpu0,
     ))
 }
 
@@ -197,13 +211,18 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
     })?;
 
     if !args.trace {
-        let (built, iters, window) = measure(&inp, args.seconds, out)?;
-        let totals_ms: Vec<f64> = iters.iter().map(|i| i.total_s * 1e3).collect();
+        let (built, iters, window, window_cpu) = measure(&inp, args.seconds, out)?;
+        let totals_ms = col(&iters, |i| i.total_s * 1e3);
+        let walls_ms = col(&iters, |i| i.total_wall_s * 1e3);
+        eprintln!(
+            "perfbench: build-grid ran {} iterations in {window:.2} s (wall p50 {:.3} ms)",
+            iters.len(),
+            percentile(&walls_ms, 50.0)
+        );
         vals.insert("setup_s", setup_s);
-        vals.insert("throughput", iters.len() as f64 / window);
-        vals.insert("p50_ms", percentile(&totals_ms, 50.0));
-        vals.insert("p99_ms", percentile(&totals_ms, 99.0));
-        vals.insert("oracle_build_s", median(&col(&iters, |i| i.oracle_s)));
+        vals.insert("cpu_per_op_ms", window_cpu * 1e3 / iters.len() as f64);
+        vals.insert("cpu_p50_ms", percentile(&totals_ms, 50.0));
+        vals.insert("cpu_p90_ms", percentile(&totals_ms, 90.0));
         vals.insert("peak_bytes", median(&col(&iters, |i| i.peak)));
         let bytes = verify(args, &inp, &built, out)?;
         vals.insert("snapshot_bytes", bytes);
@@ -213,11 +232,16 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
 
     // traced run: half the window untraced, half traced, then the layer
     // probes (also traced) and the checks
-    let (_, plain, _) = measure(&inp, args.seconds / 2.0, out)?;
+    let (_, plain, plain_window, _) = measure(&inp, args.seconds / 2.0, out)?;
+    let plain_wall_ms = col(&plain, |i| i.total_wall_s * 1e3);
+    vals.insert("wall.throughput", plain.len() as f64 / plain_window);
+    vals.insert("wall.p50_ms", percentile(&plain_wall_ms, 50.0));
+    vals.insert("wall.p99_ms", percentile(&plain_wall_ms, 99.0));
     trace::set_enabled(true);
-    let (built, iters, _) = measure(&inp, args.seconds / 2.0, out)?;
+    let (built, iters, _, _) = measure(&inp, args.seconds / 2.0, out)?;
     let p50 = |it: &[IterStats]| median(&col(it, |i| i.total_s));
     vals.insert("trace.overhead", p50(&iters) / p50(&plain) - 1.0);
+    vals.insert("oracle.build_s", median(&col(&iters, |i| i.oracle_s)));
     vals.insert("spanner.u_s", median(&col(&iters, |i| i.spanner_u_s)));
     vals.insert("spanner.w_s", median(&col(&iters, |i| i.spanner_w_s)));
     let spanner_cost = built.spanner_u.cost.then(built.spanner_w.cost);
@@ -227,7 +251,7 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
     vals.insert("spanner.edges_w", built.spanner_w.artifact.size() as f64);
 
     // the clustering the unweighted spanner starts from, on its own
-    let (cluster, cluster_s) = timed(|| {
+    let (cluster, cluster_s) = cpu::timed(|| {
         trace::in_span("build.cluster", 0, 0, || {
             ClusterBuilder::new(beta_for(inp.unit.n(), K))
                 .execution(POLICY)
@@ -241,7 +265,7 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
     drop(cluster);
 
     // the oracle's hopsets, on their own
-    let (hopset, hopset_s) = timed(|| {
+    let (hopset, hopset_s) = cpu::timed(|| {
         trace::in_span("build.hopset", 0, 0, || {
             HopsetBuilder::weighted(ETA)
                 .execution(POLICY)
@@ -259,22 +283,22 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
     vals.insert("hopset.edges", hopset.artifact.size() as f64);
     drop(hopset);
 
-    // the same oracle build on one thread
-    let (seq, seq_s) = timed(|| {
-        trace::in_span("build.oracle_seq", 0, 0, || {
+    // the same oracle build on the two-thread pool
+    let (par, par_s) = timed(|| {
+        trace::in_span("build.oracle_par", 0, 0, || {
             OracleBuilder::new()
-                .execution(ExecutionPolicy::Sequential)
+                .execution(PARALLEL)
                 .build(&inp.weighted)
         })
     });
-    let seq = seq.map_err(|e| format!("sequential oracle build: {e}"))?;
-    out.check(seq.cost == built.oracle.cost, || {
+    let par = par.map_err(|e| format!("parallel oracle build: {e}"))?;
+    out.check(par.cost == built.oracle.cost, || {
         "sequential and parallel oracle builds report different costs".into()
     });
-    drop(seq);
+    drop(par);
     vals.insert(
         "exec.build_speedup",
-        seq_s / median(&col(&iters, |i| i.oracle_s)),
+        median(&col(&iters, |i| i.oracle_wall_s)) / par_s,
     );
 
     verify(args, &inp, &built, out)?;

@@ -8,6 +8,7 @@ pub mod serve_mixed;
 pub mod shard_layer;
 
 use crate::check::{sandwiched, stretch};
+use crate::cpu;
 use crate::report::Outcome;
 use crate::stats::{mean, median, QueryLog};
 use crate::trace;
@@ -25,35 +26,48 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The execution policy of every build and service (`nproc` = 2).
+/// The execution policy of every timed build and service.
+///
+/// Sequential: one thread does the measured work and the other CPU
+/// (`nproc` = 2) is left to the client threads, the net layer and the
+/// rest of the machine. A two-thread pool on two CPUs measured how busy
+/// the machine was as much as the program. The traced runs compare
+/// against [`PARALLEL`] (`exec.*`).
 ///
 /// Every builder runs with its default seed, as a deployment would;
 /// `--seed` picks the inputs (weights, random graphs, query pairs, arrival
 /// schedules, graph deltas), so runs on different seeds build different
 /// artifacts only where their inputs differ.
-pub const POLICY: ExecutionPolicy = ExecutionPolicy::Parallel { threads: 2 };
+pub const POLICY: ExecutionPolicy = ExecutionPolicy::Sequential;
+
+/// The pooled policy the `exec.*` speed-ups compare [`POLICY`] with.
+pub const PARALLEL: ExecutionPolicy = ExecutionPolicy::Parallel { threads: 2 };
 
 /// Set-up repetitions in an untraced run; `setup_s` is their median.
-pub const SETUP_REPS: usize = 5;
+pub const SETUP_REPS: usize = 9;
 
 /// Workload names, in `BENCHMARK.json` order.
 pub const WORKLOADS: [&str; 3] = ["build-grid", "serve-grid", "serve-mixed"];
 
 /// End-to-end metrics (`--trace 0`): every workload reports all of them.
-pub const END_TO_END: [(&str, &str); 8] = [
+/// Times are CPU time ([`crate::cpu`]); one operation is a build iteration
+/// on build-grid and a query on the serving workloads.
+pub const END_TO_END: [(&str, &str); 7] = [
     ("setup_s", "s"),
     ("correct_frac", "fraction"),
-    ("throughput", "op/s"),
-    ("p50_ms", "ms"),
-    ("p99_ms", "ms"),
-    ("oracle_build_s", "s"),
+    ("cpu_per_op_ms", "ms"),
+    ("cpu_p50_ms", "ms"),
+    ("cpu_p90_ms", "ms"),
     ("peak_bytes", "bytes"),
     ("snapshot_bytes", "bytes"),
 ];
 
 /// Per-layer metrics (`--trace 1`): every workload reports all of them;
 /// a layer a workload does not exercise reports 0.
-pub const PER_LAYER: [(&str, &str); 51] = [
+pub const PER_LAYER: [(&str, &str); 55] = [
+    ("wall.throughput", "op/s"),
+    ("wall.p50_ms", "ms"),
+    ("wall.p99_ms", "ms"),
     ("cluster.s", "s"),
     ("cluster.work", "ops"),
     ("cluster.depth", "rounds"),
@@ -69,6 +83,7 @@ pub const PER_LAYER: [(&str, &str); 51] = [
     ("hopset.edges", "edges"),
     ("exec.build_speedup", "ratio"),
     ("exec.batch_speedup", "ratio"),
+    ("oracle.build_s", "s"),
     ("oracle.query_ms", "ms"),
     ("oracle.work", "ops"),
     ("oracle.rounds", "rounds"),
@@ -157,7 +172,8 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
 }
 
 /// Run the set-up `reps` times (each one from scratch, the previous state
-/// dropped first) and keep the last; returns it with the median duration.
+/// dropped first) and keep the last; returns it with the median process
+/// CPU seconds a set-up took.
 pub fn repeated_setup<S>(
     reps: usize,
     mut f: impl FnMut() -> Result<S, String>,
@@ -166,7 +182,7 @@ pub fn repeated_setup<S>(
     let mut kept = None;
     for _ in 0..reps {
         drop(kept.take());
-        let (s, dt) = timed(&mut f);
+        let (s, dt) = cpu::timed(&mut f);
         kept = Some(s?);
         times.push(dt);
     }

@@ -1,22 +1,25 @@
-//! `serve-grid`: wire queries on a 200×200 king-move grid served from an
+//! `serve-grid`: wire queries on a 150×150 king-move grid served from an
 //! mmap-opened v2 snapshot.
 //!
 //! Set-up builds the unweighted oracle, saves it as v2, opens it by mmap,
 //! and serves it from an in-process `NetServer` on loopback (cache off).
 //! Two `NetClient` connections then send uniform single-pair queries in a
 //! closed loop. The traced run also probes the shard layer
-//! ([`super::shard_layer`]).
+//! ([`super::shard_layer`]). Per-query CPU time comes from the wrapper the
+//! service is built over; CPU per query from the process clock over the
+//! whole window, client and server together.
 
 use super::{
     check_served, closed_loop, net_metrics, oracle_probe, repeated_setup, scratch_dir,
     service_metrics, setup_reps, snapshot_metrics, span_metrics, timed, trace_path, Args, Values,
-    POLICY,
+    PARALLEL, POLICY,
 };
 use crate::alloc;
 use crate::check::ORACLE_STRETCH;
+use crate::cpu;
 use crate::load;
 use crate::report::Outcome;
-use crate::stats::median;
+use crate::stats::{median, percentile};
 use crate::trace;
 use crate::traced_oracle::TracedOracle;
 use psh_core::service::{OracleService, ServiceConfig};
@@ -30,7 +33,7 @@ use psh_net::{NetServer, ServerConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-const SIDE: usize = 200;
+const SIDE: usize = 150;
 /// Connections driving the closed loop.
 const CLIENTS: usize = 2;
 /// Pairs checked against Dijkstra and the in-process build.
@@ -52,7 +55,7 @@ struct Stack {
 
 fn stand_up(args: &Args) -> Result<Stack, String> {
     let g = generators::grid2d(SIDE, SIDE);
-    let (run, build_s) = timed(|| {
+    let (run, build_s) = cpu::timed(|| {
         trace::in_span("build.oracle", 0, 0, || {
             OracleBuilder::new().execution(POLICY).build(&g)
         })
@@ -111,6 +114,7 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
         Ok(st)
     })?;
     trace::set_enabled(false);
+    vals.insert("oracle.build_s", median(&build_times));
     let service = Arc::clone(stack.server.service());
     let n = stack.g.n();
     let pair_of = |rng: &mut rand::rngs::StdRng| load::uniform_pair(rng, n);
@@ -131,18 +135,30 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
     } else {
         args.seconds
     };
+    // CPU milliseconds per answered query over a closed-loop window
+    let per_op = |cpu_s: f64, answered: u64| cpu_s * 1e3 / answered.max(1) as f64;
     let plain = if args.trace {
-        let (o, log, served, _) = closed_loop(connect()?, window, args.seed, &pair_of, &ask);
+        let c0 = cpu::process_s();
+        let (o, log, served, secs) = closed_loop(connect()?, window, args.seed, &pair_of, &ask);
+        let plain_per_op = per_op(cpu::process_s() - c0, log.answered);
         super::merge_outcome(out, o);
         check_served(&served, std::slice::from_ref(&stack.wrapper), out);
+        vals.insert("wall.throughput", log.qps(secs));
+        vals.insert("wall.p50_ms", log.p50_ms());
+        vals.insert("wall.p99_ms", log.p99_ms());
         trace::set_enabled(true);
-        Some(log)
+        Some(plain_per_op)
     } else {
         None
     };
     service.reset_stats();
     alloc::reset_peak();
+    // drop the set-up's and the untraced window's samples
+    stack.wrapper.take_cpu_ms();
+    let c0 = cpu::process_s();
     let (o, log, served, secs) = closed_loop(connect()?, window, args.seed ^ 1, &pair_of, &ask);
+    let window_per_op = per_op(cpu::process_s() - c0, log.answered);
+    let query_cpu_ms = stack.wrapper.take_cpu_ms();
     let peak = alloc::peak_bytes() as f64;
     super::merge_outcome(out, o);
     let sstats = service.stats();
@@ -151,8 +167,8 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
     let pairs: Vec<_> = (0..PROBE_PAIRS)
         .map(|_| load::uniform_pair(&mut rng, n))
         .collect();
-    if let Some(plain) = plain {
-        vals.insert("trace.overhead", log.p50_ms() / plain.p50_ms() - 1.0);
+    if let Some(plain_per_op) = plain {
+        vals.insert("trace.overhead", window_per_op / plain_per_op - 1.0);
         oracle_probe(
             &*stack.mapped,
             &stack.built,
@@ -166,7 +182,7 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
         // one coalesced batch of the probe pairs, on one thread vs on the pool
         let batch = |p| timed(|| stack.mapped.query_batch(&pairs, p));
         let ((seq, _), seq_s) = batch(ExecutionPolicy::Sequential);
-        let ((par, _), par_s) = batch(POLICY);
+        let ((par, _), par_s) = batch(PARALLEL);
         out.check(seq == par, || {
             "query_batch answers differ across policies".into()
         });
@@ -192,10 +208,9 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
             None,
         );
         vals.insert("setup_s", setup_s);
-        vals.insert("throughput", log.qps(secs));
-        vals.insert("p50_ms", log.p50_ms());
-        vals.insert("p99_ms", log.p99_ms());
-        vals.insert("oracle_build_s", median(&build_times));
+        vals.insert("cpu_per_op_ms", window_per_op);
+        vals.insert("cpu_p50_ms", percentile(&query_cpu_ms, 50.0));
+        vals.insert("cpu_p90_ms", percentile(&query_cpu_ms, 90.0));
         vals.insert("peak_bytes", peak);
         vals.insert("snapshot_bytes", stack.snapshot_bytes);
     }
@@ -207,8 +222,10 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
         )
     });
     eprintln!(
-        "perfbench: serve-grid answered {} queries in {secs:.2} s",
-        log.answered
+        "perfbench: serve-grid answered {} queries in {secs:.2} s (wall p50 {:.3} ms, p99 {:.3} ms)",
+        log.answered,
+        log.p50_ms(),
+        log.p99_ms()
     );
     let dir = stack.dir.clone();
     drop(stack);

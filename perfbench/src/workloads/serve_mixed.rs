@@ -15,9 +15,10 @@ use super::{
 };
 use crate::alloc;
 use crate::check::ORACLE_STRETCH;
+use crate::cpu;
 use crate::load::{self, ZipfPairs};
 use crate::report::Outcome;
-use crate::stats::{median, QueryLog};
+use crate::stats::{median, percentile, QueryLog};
 use crate::trace;
 use crate::traced_oracle::{pair_key, TracedOracle};
 use psh_core::service::{CacheConfig, OracleService, ServiceConfig};
@@ -86,7 +87,7 @@ fn build(g: &CsrGraph) -> Result<psh_core::Run<psh_core::ApproxShortestPaths>, S
 
 fn stand_up(args: &Args) -> Result<Stack, String> {
     let g = generate(args.seed);
-    let (run, build_s) = timed(|| trace::in_span("build.oracle", 0, 0, || build(&g)));
+    let (run, build_s) = cpu::timed(|| trace::in_span("build.oracle", 0, 0, || build(&g)));
     let run = run?;
     let dir = scratch_dir(args)?;
     let base = dir.join("oracle.v2");
@@ -295,8 +296,9 @@ fn reload(client: &mut NetClient, ctx: &Ctx, k: usize, r: &mut ConnResult) {
 }
 
 /// One measured window: both connections' results, its length in
-/// seconds, and the deltas it appended (each with the graph after it).
-type Measured = (ConnResult, f64, Vec<(GraphDelta, CsrGraph)>);
+/// seconds, the process CPU milliseconds per answered query, and the
+/// deltas it appended (each with the graph after it).
+type Measured = (ConnResult, f64, f64, Vec<(GraphDelta, CsrGraph)>);
 
 fn measure(stack: &Stack, args: &Args, window: f64, phase: u64) -> Result<Measured, String> {
     let service = stack.server.service();
@@ -320,6 +322,7 @@ fn measure(stack: &Stack, args: &Args, window: f64, phase: u64) -> Result<Measur
             NetClient::connect(stack.server.local_addr()).map_err(|e| format!("connect: {e}"))?,
         );
     }
+    let cpu0 = cpu::process_s();
     let ctx = Ctx {
         journal: journal_path(&stack.base),
         deltas: &deltas,
@@ -341,7 +344,9 @@ fn measure(stack: &Stack, args: &Args, window: f64, phase: u64) -> Result<Measur
             .collect()
     });
     let secs = ctx.start.elapsed().as_secs_f64();
-    Ok((merged(conns), secs, deltas))
+    let r = merged(conns);
+    let per_op = (cpu::process_s() - cpu0) * 1e3 / r.log.answered.max(1) as f64;
+    Ok((r, secs, per_op, deltas))
 }
 
 /// The graph the service answers for now: the base plus every delta
@@ -380,6 +385,7 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
         Ok(st)
     })?;
     trace::set_enabled(false);
+    vals.insert("oracle.build_s", median(&build_times));
     let service = Arc::clone(stack.server.service());
 
     let window = if args.trace {
@@ -387,25 +393,35 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
     } else {
         args.seconds
     };
-    let mut plain_p50 = None;
+    let mut plain_per_op = None;
     if args.trace {
-        let (plain, _, _) = measure(&stack, args, window, 0)?;
+        let (plain, secs, per_op, _) = measure(&stack, args, window, 0)?;
         merge_outcome(out, plain.out);
         check_served(
             &plain.served,
             &stack.wrappers.lock().expect("poisoned by a panic"),
             out,
         );
-        plain_p50 = Some(plain.log.p50_ms());
+        vals.insert("wall.throughput", plain.log.qps(secs));
+        vals.insert("wall.p50_ms", plain.log.p50_ms());
+        vals.insert("wall.p99_ms", plain.log.p99_ms());
+        plain_per_op = Some(per_op);
         trace::set_enabled(true);
     }
     service.reset_stats();
     alloc::reset_peak();
-    let (mut r, secs, deltas) = measure(&stack, args, window, 1)?;
+    // drop the set-up's and the untraced window's samples
+    for w in stack.wrappers.lock().expect("poisoned by a panic").iter() {
+        w.take_cpu_ms();
+    }
+    let (mut r, secs, per_op, deltas) = measure(&stack, args, window, 1)?;
     let peak = alloc::peak_bytes() as f64;
     let sstats = service.stats();
     merge_outcome(out, std::mem::take(&mut r.out));
     let wrappers = stack.wrappers.lock().expect("poisoned by a panic").clone();
+    // computed (not cached) queries only; a wrapper sits in the list once
+    // per epoch it served, so each is drained once
+    let query_cpu_ms: Vec<f64> = wrappers.iter().flat_map(|w| w.take_cpu_ms()).collect();
     check_served(&r.served, &wrappers, out);
 
     // the final epoch against a fresh build of the final graph
@@ -427,21 +443,24 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
         probe_vals,
     );
     eprintln!(
-        "perfbench: serve-mixed answered {} queries in {:.2} s ({} late, {} reloads, epoch {})",
+        "perfbench: serve-mixed answered {} queries in {:.2} s (wall p50 {:.3} ms, p99 {:.3} ms; \
+         {} late, {} reloads, epoch {})",
         r.log.answered,
         secs,
+        r.log.p50_ms(),
+        r.log.p99_ms(),
         r.late,
         r.reload_s.len(),
         service.epoch()
     );
 
-    if let Some(plain) = plain_p50 {
+    if let Some(plain) = plain_per_op {
         trace::set_enabled(false);
         let spans = trace::take();
         span_metrics(&spans, vals);
         service_metrics(&sstats, vals);
         net_metrics(&sstats, &stack.server.stats(), vals);
-        vals.insert("trace.overhead", r.log.p50_ms() / plain - 1.0);
+        vals.insert("trace.overhead", per_op / plain - 1.0);
         vals.insert("service.stats_call_ms", median(&r.stats_ms));
         vals.insert("snapshot.append_ms", median(&r.append_ms));
         vals.insert("snapshot.reload_s", median(&r.reload_s));
@@ -459,10 +478,9 @@ pub fn run(args: &Args, out: &mut Outcome, vals: &mut Values) -> Result<(), Stri
         trace::write_tsv(&trace_path(args), &spans).map_err(|e| format!("write spans: {e}"))?;
     } else {
         vals.insert("setup_s", setup_s);
-        vals.insert("throughput", r.log.qps(secs));
-        vals.insert("p50_ms", r.log.p50_ms());
-        vals.insert("p99_ms", r.log.p99_ms());
-        vals.insert("oracle_build_s", median(&build_times));
+        vals.insert("cpu_per_op_ms", per_op);
+        vals.insert("cpu_p50_ms", percentile(&query_cpu_ms, 50.0));
+        vals.insert("cpu_p90_ms", percentile(&query_cpu_ms, 90.0));
         vals.insert("peak_bytes", peak);
         vals.insert("snapshot_bytes", stack.snapshot_bytes);
     }

@@ -1,6 +1,8 @@
 //! Pins the units the benchmark reports in: queries (never round trips),
-//! per-query latency, span self time, and the result line's shape.
+//! per-query latency, CPU time (not wall time), span self time, and the
+//! result line's shape.
 
+use psh_perfbench::cpu;
 use psh_perfbench::report::Outcome;
 use psh_perfbench::stats::QueryLog;
 use psh_perfbench::trace::{self_times, Span};
@@ -71,4 +73,21 @@ fn result_line_has_the_four_keys() {
     out.check(false, || "wrong answer".into());
     assert!(!out.correct());
     assert_eq!(out.correct_frac(), 0.5);
+}
+
+#[test]
+fn cpu_clocks_count_work_not_waiting() {
+    let (t0, p0) = (cpu::thread_s(), cpu::process_s());
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    let slept = cpu::thread_s() - t0;
+    assert!(slept < 0.05, "a sleeping thread used {slept} s of CPU");
+    let start = std::time::Instant::now();
+    let mut x = 1u64;
+    while start.elapsed().as_millis() < 100 {
+        x = std::hint::black_box(x.wrapping_mul(6364136223846793005).wrapping_add(1));
+    }
+    let busy = cpu::thread_s() - t0 - slept;
+    assert!(busy > 0.02, "a busy thread used only {busy} s of CPU");
+    // the process clock covers every thread, this one included
+    assert!(cpu::process_s() - p0 >= busy);
 }
