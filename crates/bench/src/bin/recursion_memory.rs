@@ -53,15 +53,11 @@ fn run(
     strategy: SplitStrategy,
 ) -> Measured {
     // Warm the executor pool outside the measured window so thread-stack
-    // and pool bookkeeping allocations don't pollute the comparison, and
-    // drain the driving thread's arena pool so no run inherits scratch
-    // buffers (as pre-existing live bytes they would be reused without a
-    // counted allocation, undercounting the arena path's peak). Worker
-    // threads spawned by `exec` are fresh per thread-count, so their
-    // pools start empty anyway.
+    // and pool bookkeeping allocations don't pollute the comparison. Each
+    // build owns its split scratch and frees it on return, so no run
+    // inherits another's arenas.
     let exec = Executor::new(policy);
     exec.par_map(&[0u32; 64], 1, |&x| x);
-    psh_graph::view::drain_arena_pool();
     let base = live_bytes();
     reset_peak();
     let start = Instant::now();

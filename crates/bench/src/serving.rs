@@ -114,10 +114,6 @@ pub fn obtain_oracle(prog: &str, seed: u64) -> (ApproxShortestPaths, OracleMeta,
         .unwrap_or_else(|e| die(prog, format_args!("cannot save {}: {e}", path.display())));
         println!("snapshot saved to {} (v{version})", path.display());
     }
-    // Preprocessing is over: release the build-time split scratch this
-    // thread's arena pool retained, so the long-lived serving process
-    // doesn't carry O(n + m) recursion buffers into its steady state.
-    psh_graph::view::drain_arena_pool();
     (run.artifact, meta, false, secs)
 }
 
@@ -296,7 +292,6 @@ pub fn obtain_served_oracle(prog: &str, seed: u64) -> (ServedOracle, bool, f64) 
                 oracle.num_shards()
             );
         }
-        psh_graph::view::drain_arena_pool();
         return (ServedOracle::Sharded { oracle, parts }, false, secs);
     }
     let (oracle, meta, loaded, secs) = obtain_oracle(prog, seed);

@@ -31,9 +31,13 @@
 //! (usually an owned [`psh_graph::CsrGraph`]), and each level splits its
 //! piece into per-cluster children through one of two interchangeable
 //! [`SplitStrategy`]s. The default [`SplitStrategy::Arena`] fills a
-//! leased, reusable [`SplitArena`] and recurses on borrowed
-//! [`psh_graph::CsrView`]s — no per-child graph materialization, so a
-//! depth-`d` build no longer copies the adjacency structure `O(d)` times.
+//! reusable [`psh_graph::SplitArena`] leased from the build's own
+//! [`ArenaPool`] and recurses on borrowed [`psh_graph::CsrView`]s — no
+//! per-child graph materialization, so a depth-`d` build no longer copies
+//! the adjacency structure `O(d)` times. The pool belongs to one builder
+//! call (one hopset, or every band of a weighted family), is shared by
+//! its workers, and is dropped when the call returns, so no split scratch
+//! outlives the build.
 //! [`SplitStrategy::Materialize`] is the legacy reference path (owned
 //! `CsrGraph` per child), kept for the `recursion_memory` bench and the
 //! `view_equivalence` suite, which prove the two paths produce
@@ -48,7 +52,7 @@ use psh_cluster::ClusterBuilder;
 use psh_exec::Executor;
 use psh_graph::subgraph::split_by_labels;
 use psh_graph::traversal::dial::dial_sssp_with;
-use psh_graph::view::SplitArena;
+use psh_graph::view::ArenaPool;
 use psh_graph::{Edge, GraphView, VertexId, INF};
 use psh_pram::Cost;
 use rand::rngs::StdRng;
@@ -59,9 +63,10 @@ use rand::{Rng, SeedableRng};
 /// differ only in allocation behavior.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SplitStrategy {
-    /// Fill a per-level [`SplitArena`] (leased from a thread-local pool)
-    /// and recurse on borrowed [`psh_graph::CsrView`]s. The production
-    /// path: no per-child allocation.
+    /// Fill a per-level [`psh_graph::SplitArena`] (leased from the
+    /// build's [`ArenaPool`]) and recurse on borrowed
+    /// [`psh_graph::CsrView`]s. The production path: no per-child
+    /// allocation.
     #[default]
     Arena,
     /// Materialize an owned [`psh_graph::CsrGraph`] per child
@@ -105,6 +110,22 @@ pub fn build_hopset_with_strategy_on<G: GraphView, R: Rng>(
     strategy: SplitStrategy,
     rng: &mut R,
 ) -> (Hopset, Cost) {
+    build_hopset_in(exec, &ArenaPool::new(), g, params, beta0, strategy, rng)
+}
+
+/// [`build_hopset_with_strategy_on`] with its split scratch leased from
+/// `arenas`. A caller that runs several builds (the bands of a weighted
+/// family) shares one pool between them, so they reuse each other's
+/// arenas; the scratch lives exactly as long as the pool.
+pub(crate) fn build_hopset_in<G: GraphView, R: Rng>(
+    exec: &Executor,
+    arenas: &ArenaPool,
+    g: &G,
+    params: &HopsetParams,
+    beta0: f64,
+    strategy: SplitStrategy,
+    rng: &mut R,
+) -> (Hopset, Cost) {
     params.validate().expect("invalid hopset parameters");
     let n = g.n();
     let ctx = Ctx {
@@ -113,6 +134,7 @@ pub fn build_hopset_with_strategy_on<G: GraphView, R: Rng>(
         n_final: params.n_final(n),
         exec: exec.clone(),
         strategy,
+        arenas,
     };
     let ident: Vec<VertexId> = (0..n as u32).collect();
     let out = recurse(g, &ident, beta0, 0, true, &ctx, rng.random());
@@ -126,12 +148,14 @@ pub fn build_hopset_with_strategy_on<G: GraphView, R: Rng>(
     (hopset, out.cost)
 }
 
-struct Ctx {
+/// What every call of one build's recursion shares.
+struct Ctx<'a> {
     growth: f64,
     rho: f64,
     n_final: usize,
     exec: Executor,
     strategy: SplitStrategy,
+    arenas: &'a ArenaPool,
 }
 
 #[derive(Default)]
@@ -154,7 +178,7 @@ fn recurse<G: GraphView>(
     beta: f64,
     depth: usize,
     first: bool,
-    ctx: &Ctx,
+    ctx: &Ctx<'_>,
     seed: u64,
 ) -> Outcome {
     if sub.n() <= ctx.n_final || depth >= MAX_DEPTH {
@@ -234,7 +258,7 @@ fn recurse<G: GraphView>(
     let tasks: Vec<(usize, u64)> = recurse_on.iter().map(|&cid| (cid, rng.random())).collect();
     let children: Vec<Outcome> = match ctx.strategy {
         SplitStrategy::Arena => {
-            let mut arena = SplitArena::lease();
+            let mut arena = ctx.arenas.lease();
             let split_cost = arena.split(sub, &clustering.cluster_id, clustering.num_clusters);
             cost = cost.then(split_cost);
             let arena = &*arena;
@@ -432,6 +456,45 @@ mod tests {
             &mut StdRng::seed_from_u64(7),
         );
         assert_eq!(arena, materialized);
+    }
+
+    #[test]
+    fn one_build_reuses_its_arenas() {
+        // A sequential build holds at most one arena per recursion level
+        // at a time, so a pool that recycles makes no more arenas than
+        // there are levels, however many pieces the recursion splits. On
+        // a long path the clusters are long paths too, so most pieces of
+        // every level recurse.
+        let g = generators::path(4000);
+        let p = test_params();
+        let arenas = ArenaPool::new();
+        let (h, cost) = build_hopset_in(
+            &Executor::sequential(),
+            &arenas,
+            &g,
+            &p,
+            p.beta0(g.n()),
+            SplitStrategy::Arena,
+            &mut StdRng::seed_from_u64(7),
+        );
+        let splits = arenas.leases();
+        assert!(
+            splits > arenas.arenas_made(),
+            "{splits} splits on {} arenas: nothing was reused",
+            arenas.arenas_made()
+        );
+        assert!(arenas.arenas_made() <= h.levels + 1);
+        // the public entry point builds the same artifact on a fresh
+        // pool of its own
+        let fresh = build_hopset_with_strategy_on(
+            &Executor::sequential(),
+            &g,
+            &p,
+            p.beta0(g.n()),
+            SplitStrategy::Arena,
+            &mut StdRng::seed_from_u64(7),
+        );
+        assert_eq!((h, cost), fresh);
     }
 
     #[test]

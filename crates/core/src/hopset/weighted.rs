@@ -14,10 +14,11 @@
 //! (Lemma 4.2 + Lemma 5.2) — so the minimum is a `(1+ε')`-approximation.
 
 use super::rounding::Rounding;
-use super::unweighted::build_hopset_with_beta0_on;
+use super::unweighted::{build_hopset_in, SplitStrategy};
 use super::{Hopset, HopsetParams};
 use psh_exec::Executor;
 use psh_graph::traversal::bellman_ford::{hop_limited_pair, ExtraEdges};
+use psh_graph::view::ArenaPool;
 use psh_graph::{CsrGraph, VertexId, INF};
 use psh_pram::Cost;
 use rand::rngs::StdRng;
@@ -151,15 +152,19 @@ pub(crate) fn build_weighted_hopsets_impl<R: Rng>(
         d = next.max(d + 1);
     }
 
+    // one split-scratch pool for every band, freed when the family is built
+    let arenas = ArenaPool::new();
     let bands: Vec<(EstimateBand, Cost)> = exec.par_map(&tasks, 1, |&(d, seed)| {
         // paths in this band have ≤ n hops and weight ≤ c·d
         let rounding = Rounding::for_band(d, n.max(2) as u64, zeta);
         let graph = rounding.round_graph(g);
-        let (hopset, hcost) = build_hopset_with_beta0_on(
+        let (hopset, hcost) = build_hopset_in(
             exec,
+            &arenas,
             &graph,
             params,
             beta0,
+            SplitStrategy::default(),
             &mut StdRng::seed_from_u64(seed),
         );
         // hop budget from Lemma 4.2 at the band's top distance, in rounded

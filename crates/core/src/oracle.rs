@@ -65,8 +65,9 @@ pub(crate) enum Mode {
     Unweighted {
         hopset: Hopset,
         extra: psh_graph::traversal::bellman_ford::ExtraEdges,
-        /// Hop budget for the worst case `d = n` (queries stop early at
-        /// the Bellman–Ford fixpoint anyway).
+        /// Hop budget for the worst case `d = n`. A query stops earlier
+        /// when its frontier empties: at the Bellman–Ford fixpoint, or
+        /// once nothing left can shorten the path to the target.
         h_max: usize,
     },
     Weighted {

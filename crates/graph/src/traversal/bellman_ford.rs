@@ -8,14 +8,34 @@
 //!
 //! Frontier-based: only vertices whose distance improved in round `r-1`
 //! relax their edges in round `r`, so work on easy instances is far below
-//! the worst-case `h·m`. Relaxations are gathered in parallel and applied
-//! as a deterministic per-target minimum.
+//! the worst-case `h·m`. The frontier carries each vertex's distance as
+//! of the start of the round (Jacobi rounds), so after round `r` every
+//! distance is exactly the `r`-hop one. Candidates are claimed in place:
+//! a candidate lowers `dist[v]` when it beats it, and `v` joins the next
+//! frontier on its first improvement of the round (a per-vertex round
+//! mark), so the next frontier is exactly the set of vertices that
+//! improved. One query runs on one thread; batches of queries are what
+//! run in parallel.
+//!
+//! A pair query ([`hop_limited_pair`]) also prunes against the target.
+//! Weights are at least 1, so a frontier vertex or a candidate whose
+//! distance is already at or above `dist[t]` can never lead to a shorter
+//! path to `t`, and it is skipped. The pruned run still returns the exact
+//! h-hop `dist[t]` and the same settle round as the full search, also
+//! when the hop budget binds.
+//!
+//! Cost accounting (both entry points): work is `n` for initialisation,
+//! plus the adjacency entries scanned from frontier vertices that were not
+//! pruned, plus one per push onto a next frontier; depth is one for
+//! initialisation plus one per round run, until the frontier empties or
+//! the budget `h` is spent. Without a target nothing is pruned, so
+//! [`hop_limited_sssp`] reports the full search's cost.
 
 use crate::csr::{Edge, VertexId, Weight, INF};
 use crate::prefetch::{lookahead, prefetch_pays, prefetch_read};
 use crate::view::GraphView;
 use psh_pram::Cost;
-use rayon::prelude::*;
+use std::cell::Cell;
 
 /// A set of auxiliary (hopset) edges in CSR form over the same vertex ids
 /// as the base graph. Undirected: both directions are stored. Offsets are
@@ -168,86 +188,14 @@ pub fn hop_limited_sssp_on<G: GraphView>(
     sources: &[VertexId],
     h: usize,
 ) -> (HopQuery, Cost) {
-    let n = g.n();
-    let mut dist = vec![INF; n];
-    let mut hops = vec![u32::MAX; n];
-    let mut frontier: Vec<VertexId> = sources.to_vec();
-    frontier.sort_unstable();
-    frontier.dedup();
-    for &s in &frontier {
-        dist[s as usize] = 0;
-        hops[s as usize] = 0;
-    }
-    let mut cost = Cost::flat(n as u64);
-    let mut rounds = 0usize;
-    while !frontier.is_empty() && rounds < h {
-        rounds += 1;
-        let scanned: u64 = frontier
-            .par_iter()
-            .map(|&v| (g.degree(v) + extra.map_or(0, |e| e.degree(v))) as u64)
-            .sum();
-        let dist_ref = &dist;
-        // the dist[v] probe is the random read in this loop; once dist
-        // outgrows L2 ([`prefetch_pays`]), hint it a few candidates
-        // ahead of the filter. The two arms spell out the same loop body
-        // rather than sharing it through a closure: routing the iterator
-        // construction through a shared closure costs ~30% qps on
-        // cache-resident graphs (measured via query_throughput, n=800),
-        // so each arm must stay independently inlinable.
-        let mut relax: Vec<(VertexId, Weight)> = if prefetch_pays(n) {
-            frontier
-                .par_iter()
-                .flat_map_iter(|&u| {
-                    let du = dist_ref[u as usize];
-                    let base = g.neighbors(u).map(move |(v, w)| (v, du.saturating_add(w)));
-                    let ext = extra
-                        .into_iter()
-                        .flat_map(move |e| e.neighbors(u))
-                        .map(move |(v, w)| (v, du.saturating_add(w)));
-                    lookahead(base.chain(ext), |&(v, _)| {
-                        prefetch_read(dist_ref, v as usize);
-                    })
-                    .filter(|&(v, nd)| nd < dist_ref[v as usize])
-                })
-                .collect()
-        } else {
-            frontier
-                .par_iter()
-                .flat_map_iter(|&u| {
-                    let du = dist_ref[u as usize];
-                    let base = g.neighbors(u).map(move |(v, w)| (v, du.saturating_add(w)));
-                    let ext = extra
-                        .into_iter()
-                        .flat_map(move |e| e.neighbors(u))
-                        .map(move |(v, w)| (v, du.saturating_add(w)));
-                    base.chain(ext).filter(|&(v, nd)| nd < dist_ref[v as usize])
-                })
-                .collect()
-        };
-        relax.par_sort_unstable();
-        let mut next = Vec::new();
-        let mut last = u32::MAX;
-        for (v, nd) in relax {
-            if v == last {
-                continue;
-            }
-            last = v;
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                hops[v as usize] = rounds as u32;
-                next.push(v);
-            }
-        }
-        cost = cost.then(Cost::flat(scanned + next.len() as u64));
-        frontier = next;
-    }
+    let run = relax_rounds(g, extra, sources, None, h);
     (
         HopQuery {
-            dist,
-            rounds_run: rounds,
-            hops_settled: hops,
+            dist: run.dist,
+            rounds_run: run.rounds,
+            hops_settled: run.hops,
         },
-        cost,
+        run.cost,
     )
 }
 
@@ -264,7 +212,10 @@ pub fn hop_limited_pair<G: GraphView>(
 }
 
 /// [`hop_limited_pair`] on borrowed extra-edge slices (see
-/// [`hop_limited_sssp_on`]).
+/// [`hop_limited_sssp_on`]). Target-pruned: the answer and the settle
+/// round are exactly [`hop_limited_sssp_on`]'s `dist[t]` and
+/// `hops_settled[t]`, but the work stops growing once nothing left can
+/// beat `t`'s current distance (see the module doc for the accounting).
 pub fn hop_limited_pair_on<G: GraphView>(
     g: &G,
     extra: Option<ExtraView<'_>>,
@@ -272,18 +223,142 @@ pub fn hop_limited_pair_on<G: GraphView>(
     t: VertexId,
     h: usize,
 ) -> (Weight, u32, Cost) {
-    let (q, cost) = hop_limited_sssp_on(g, extra, &[s], h);
-    (q.dist[t as usize], q.hops_settled[t as usize], cost)
+    let run = relax_rounds(g, extra, &[s], Some(t), h);
+    (run.dist[t as usize], run.hops[t as usize], run.cost)
+}
+
+/// What one run of [`relax_rounds`] leaves behind.
+struct Relaxed {
+    dist: Vec<Weight>,
+    /// Round of each vertex's last improvement; doubles as the round
+    /// mark that pushes a vertex onto the next frontier only once.
+    hops: Vec<u32>,
+    rounds: usize,
+    cost: Cost,
+}
+
+/// Per-round relaxation state: candidate distances are claimed in place
+/// (a per-target minimum with no gather or sort), and a vertex joins the
+/// next frontier on its first improvement of the round.
+struct Round<'a> {
+    dist: &'a [Cell<Weight>],
+    hops: &'a mut [u32],
+    next: &'a mut Vec<VertexId>,
+    round: u32,
+    target: Option<VertexId>,
+    /// The target's current distance ([`INF`] without a target): no
+    /// candidate at or above it can lead to a shorter path to the target.
+    bound: Weight,
+}
+
+impl Round<'_> {
+    #[inline(always)]
+    fn offer(&mut self, v: VertexId, nd: Weight) {
+        let slot = &self.dist[v as usize];
+        if nd < self.bound && nd < slot.get() {
+            slot.set(nd);
+            if self.hops[v as usize] != self.round {
+                self.hops[v as usize] = self.round;
+                self.next.push(v);
+            }
+            if self.target == Some(v) {
+                self.bound = nd;
+            }
+        }
+    }
+}
+
+/// The hop-limited core behind both entry points: Jacobi rounds from
+/// `sources`, each frontier vertex relaxing from the distance it had when
+/// the round began, so after round `r` every distance is the `r`-hop one.
+/// With a `target`, frontier vertices and candidates at or above the
+/// target's current distance are skipped.
+fn relax_rounds<G: GraphView>(
+    g: &G,
+    extra: Option<ExtraView<'_>>,
+    sources: &[VertexId],
+    target: Option<VertexId>,
+    h: usize,
+) -> Relaxed {
+    let n = g.n();
+    let mut dist = vec![INF; n];
+    let mut hops = vec![u32::MAX; n];
+    let mut starts: Vec<VertexId> = sources.to_vec();
+    starts.sort_unstable();
+    starts.dedup();
+    for &s in &starts {
+        dist[s as usize] = 0;
+        hops[s as usize] = 0;
+    }
+    let mut frontier: Vec<(VertexId, Weight)> = starts.iter().map(|&s| (s, 0)).collect();
+    let mut next = Vec::new();
+    let mut cost = Cost::flat(n as u64);
+    let mut rounds = 0usize;
+    let cells = Cell::from_mut(dist.as_mut_slice()).as_slice_of_cells();
+    let mut st = Round {
+        dist: cells,
+        hops: &mut hops,
+        next: &mut next,
+        round: 0,
+        target,
+        bound: target.map_or(INF, |t| cells[t as usize].get()),
+    };
+    while !frontier.is_empty() && rounds < h {
+        rounds += 1;
+        st.round = rounds as u32;
+        let mut scanned = 0u64;
+        for &(u, du) in &frontier {
+            if du >= st.bound {
+                continue;
+            }
+            scanned += (g.degree(u) + extra.map_or(0, |e| e.degree(u))) as u64;
+            // the dist[v] probe is the random read in this loop; once
+            // dist outgrows L2 ([`prefetch_pays`]), hint it a few
+            // candidates ahead. The two arms spell out the same loop body
+            // rather than sharing it through a closure, so each stays
+            // independently inlinable.
+            if prefetch_pays(n) {
+                let hint = |&(v, _): &(VertexId, Weight)| prefetch_read(cells, v as usize);
+                for (v, w) in lookahead(g.neighbors(u), hint) {
+                    st.offer(v, du.saturating_add(w));
+                }
+                if let Some(e) = extra {
+                    for (v, w) in lookahead(e.neighbors(u), hint) {
+                        st.offer(v, du.saturating_add(w));
+                    }
+                }
+            } else {
+                for (v, w) in g.neighbors(u) {
+                    st.offer(v, du.saturating_add(w));
+                }
+                if let Some(e) = extra {
+                    for (v, w) in e.neighbors(u) {
+                        st.offer(v, du.saturating_add(w));
+                    }
+                }
+            }
+        }
+        cost = cost.then(Cost::flat(scanned + st.next.len() as u64));
+        frontier.clear();
+        frontier.extend(st.next.drain(..).map(|v| (v, cells[v as usize].get())));
+    }
+    Relaxed {
+        dist,
+        hops,
+        rounds,
+        cost,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CsrGraph;
     use crate::generators;
     use crate::traversal::dijkstra::dijkstra;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn unlimited_hops_match_dijkstra() {
@@ -340,6 +415,127 @@ mod tests {
         assert!(ExtraEdges::from_edges(3, &[]).is_empty());
     }
 
+    /// FNV-1a over everything `hop_limited_sssp` returns: distances,
+    /// settle rounds, rounds run, and the `Cost`.
+    fn sssp_digest(q: &HopQuery, cost: Cost) -> u64 {
+        let words = q
+            .dist
+            .iter()
+            .copied()
+            .chain(q.hops_settled.iter().map(|&h| h as u64))
+            .chain([q.rounds_run as u64, cost.work, cost.depth]);
+        words.fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+            w.to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    /// Fixed-seed `(HopQuery, Cost)` digests recorded from the
+    /// sort-and-dedup relaxation this module used to run. The in-place
+    /// core must reproduce them exactly: same distances, same settle
+    /// rounds, same rounds run, same work and depth.
+    #[test]
+    fn sssp_golden_digests() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let random = {
+            let base = generators::connected_random(300, 600, &mut rng);
+            generators::with_uniform_weights(&base, 1, 9, &mut rng)
+        };
+        let extra_edges: Vec<Edge> = (0..40)
+            .map(|i| {
+                let u = (i * 37 % 300) as u32;
+                let v = ((i * 101 + 13) % 300) as u32;
+                Edge::new(u.min(v), u.max(v) + u32::from(u == v), 1 + (i as u64 % 7))
+            })
+            .collect();
+        let extra = ExtraEdges::from_edges(300, &extra_edges);
+        let path = generators::path(64);
+        let grid = generators::grid(20, 20);
+        let cases: [(&str, (HopQuery, Cost), u64); 7] = [
+            (
+                "path",
+                hop_limited_sssp(&path, None, &[0], 64),
+                0x26284c0b028e9ed9,
+            ),
+            (
+                "path h=9",
+                hop_limited_sssp(&path, None, &[5], 9),
+                0xbc05c99185983613,
+            ),
+            (
+                "grid",
+                hop_limited_sssp(&grid, None, &[0, 399], 400),
+                0xdff08a72047b6739,
+            ),
+            (
+                "grid h=6",
+                hop_limited_sssp(&grid, None, &[210], 6),
+                0x39ee7ca231f07ed2,
+            ),
+            (
+                "random",
+                hop_limited_sssp(&random, None, &[3], 300),
+                0x14ddbff4ff6eb6f5,
+            ),
+            (
+                "random+extra",
+                hop_limited_sssp(&random, Some(&extra), &[3], 300),
+                0xe91049f78de3b26c,
+            ),
+            (
+                "random+extra h=3",
+                hop_limited_sssp(&random, Some(&extra), &[7, 7, 150], 3),
+                0x3b85139b5956e00b,
+            ),
+        ];
+        for (name, (q, cost), want) in cases {
+            assert_eq!(
+                sssp_digest(&q, cost),
+                want,
+                "{name}: (HopQuery, Cost) drifted"
+            );
+        }
+    }
+
+    /// The same pin at n = 65,536, where the core takes its prefetching
+    /// arm ([`prefetch_pays`]).
+    #[test]
+    fn sssp_golden_digests_prefetch_arm() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let grid = generators::grid(256, 256);
+        assert!(prefetch_pays(grid.n()));
+        let weighted = generators::with_uniform_weights(&grid, 1, 9, &mut rng);
+        let extra_edges: Vec<Edge> = (0..500u32)
+            .map(|i| Edge::new(i * 97 % 32768, 32768 + i * 61 % 32768, 3 + (i as u64 % 11)))
+            .collect();
+        let extra = ExtraEdges::from_edges(grid.n(), &extra_edges);
+        let cases: [(&str, (HopQuery, Cost), u64); 3] = [
+            (
+                "grid",
+                hop_limited_sssp(&grid, None, &[0], 65536),
+                0xb3fd40c17d06c9b4,
+            ),
+            (
+                "weighted+extra h=40",
+                hop_limited_sssp(&weighted, Some(&extra), &[300, 40000], 40),
+                0x502e01a317c12f12,
+            ),
+            (
+                "weighted+extra",
+                hop_limited_sssp(&weighted, Some(&extra), &[300], 65536),
+                0xe9c5fc34623d7611,
+            ),
+        ];
+        for (name, (q, cost), want) in cases {
+            assert_eq!(
+                sssp_digest(&q, cost),
+                want,
+                "{name}: (HopQuery, Cost) drifted"
+            );
+        }
+    }
+
     proptest! {
         /// h-hop distances are monotone nonincreasing in h and never
         /// undershoot the true distance.
@@ -365,6 +561,43 @@ mod tests {
             let g = generators::with_uniform_weights(&base, 1, 8, &mut rng);
             let (q, _) = hop_limited_sssp(&g, None, &[7], g.n());
             prop_assert_eq!(q.dist, dijkstra(&g, 7).dist);
+        }
+
+        /// The target-pruned pair query answers exactly what the full
+        /// search does: `(dist[t], hops_settled[t])`, for every hop budget
+        /// from binding (h = 1) to none (h = n), with and without extra
+        /// edges, for `s == t`, and for a `t` no path reaches (vertex 40
+        /// is isolated).
+        #[test]
+        fn prop_pair_equals_full_sssp(
+            seed in 0u64..10_000,
+            h in 1usize..42,
+            s in 0u32..41,
+            t in 0u32..41,
+            extras in 0usize..12) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let base = generators::connected_random(40, 50, &mut rng);
+            let weighted = generators::with_uniform_weights(&base, 1, 9, &mut rng);
+            let g = CsrGraph::from_edges(41, weighted.edges().iter().copied());
+            let extra_edges: Vec<Edge> = (0..extras)
+                .map(|_| {
+                    let u = rng.random_range(0..39u32);
+                    let v = rng.random_range(u + 1..40u32);
+                    Edge::new(u, v, rng.random_range(1..20u64))
+                })
+                .collect();
+            let extra = ExtraEdges::from_edges(41, &extra_edges);
+            for extra in [None, Some(&extra)] {
+                let (q, _) = hop_limited_sssp(&g, extra, &[s], h);
+                for t in [t, s, 40] {
+                    let (d, hops, _) = hop_limited_pair(&g, extra, s, t, h);
+                    prop_assert_eq!(
+                        (d, hops),
+                        (q.dist[t as usize], q.hops_settled[t as usize]),
+                        "s={} t={} h={}", s, t, h
+                    );
+                }
+            }
         }
     }
 }

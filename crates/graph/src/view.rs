@@ -23,9 +23,11 @@
 //!   views: [`SplitArena::split`] is a one-pass rewrite of the old
 //!   `split_by_labels` that emits *all* child views of a decomposition
 //!   into one reused set of offsets/targets/weights/eids buffers, with no
-//!   per-child allocation. Arenas recycle through a thread-local pool
-//!   ([`SplitArena::lease`]), so a deep recursion reuses one arena per
-//!   level per worker instead of re-allocating at every node.
+//!   per-child allocation. Arenas recycle through an [`ArenaPool`] that
+//!   the builder owns and shares with its workers ([`ArenaPool::lease`]),
+//!   so a deep recursion reuses one arena per level per worker instead of
+//!   re-allocating at every node, and the scratch is freed when the
+//!   builder drops the pool.
 //!
 //! The contract that makes the equivalence hold: a child's canonical edge
 //! list inherits the parent's sorted order (local ids are assigned in
@@ -35,8 +37,8 @@
 
 use crate::csr::{CsrGraph, Edge, VertexId, Weight};
 use psh_pram::Cost;
-use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
+use std::sync::{Mutex, MutexGuard};
 
 /// Read-only access to an undirected graph in the workspace's canonical
 /// shape: `u32` vertices, `u64` weights ≥ 1, deduplicated canonical edges
@@ -221,10 +223,10 @@ impl GraphView for CsrView<'_> {
 /// every child subgraph of one [`SplitArena::split`] call lives in these
 /// buffers, exposed as [`CsrView`]s.
 ///
-/// A depth-`d` recursion leases one arena per level ([`SplitArena::lease`]
-/// recycles them through a thread-local pool), so steady-state deep
-/// recursion performs **zero** per-child allocations: the split writes
-/// into buffers sized once and reused.
+/// A depth-`d` recursion leases one arena per level from its build's
+/// [`ArenaPool`], so steady-state deep recursion performs **zero**
+/// per-child allocations: the split writes into buffers sized once and
+/// reused.
 #[derive(Debug, Default)]
 pub struct SplitArena {
     /// Child `c`'s vertices occupy `to_parent[vert_start[c]..vert_start[c+1]]`.
@@ -247,30 +249,11 @@ pub struct SplitArena {
     children: usize,
 }
 
-thread_local! {
-    static ARENA_POOL: RefCell<Vec<SplitArena>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Arenas kept per worker thread; beyond this, returned arenas are
-/// dropped. Recursion depth is capped well below this, so in practice
-/// every level's arena is recycled.
-const ARENA_POOL_CAP: usize = 64;
-
 impl SplitArena {
-    /// A fresh, empty arena. Prefer [`SplitArena::lease`] on recursive
+    /// A fresh, empty arena. Prefer [`ArenaPool::lease`] on recursive
     /// paths so buffers recycle.
     pub fn new() -> Self {
         SplitArena::default()
-    }
-
-    /// Lease an arena from the current thread's pool (or create one).
-    /// Dropping the lease returns the arena — buffers intact — to the
-    /// pool, so the next `lease` on this thread reuses its allocations.
-    pub fn lease() -> ArenaLease {
-        let arena = ARENA_POOL
-            .with(|pool| pool.borrow_mut().pop())
-            .unwrap_or_default();
-        ArenaLease(Some(arena))
     }
 
     /// Split `g` into the induced subgraphs of a dense labeling
@@ -439,44 +422,88 @@ impl SplitArena {
     }
 }
 
-/// Drop every arena retained by the **current thread's** pool, releasing
-/// the scratch buffers. The pool otherwise keeps leased arenas (buffers
-/// intact) for the life of the thread — ideal while a recursion is
-/// running, wasteful once a build phase is over. Long-lived processes
-/// that build once and then serve (e.g. `psh-serve`) should call this on
-/// the driving thread after preprocessing; worker threads release theirs
-/// when their hosting pool is dropped.
-pub fn drain_arena_pool() {
-    ARENA_POOL.with(|pool| pool.borrow_mut().clear());
+/// The split scratch of one build: idle [`SplitArena`]s, shared by every
+/// worker of the build. A lease takes an idle arena (or makes one) and
+/// gives it back, buffers intact, when dropped, so later levels reuse the
+/// allocations. The pool owns its arenas, so dropping it when the build
+/// returns frees all of the scratch: none of it outlives the build.
+#[derive(Debug, Default)]
+pub struct ArenaPool {
+    state: Mutex<PoolState>,
 }
 
-/// A [`SplitArena`] borrowed from the thread-local pool; returns the
-/// arena (buffers intact) on drop. Dereferences to the arena.
-pub struct ArenaLease(Option<SplitArena>);
+#[derive(Debug, Default)]
+struct PoolState {
+    idle: Vec<SplitArena>,
+    /// Arenas this pool has made: the most that were ever leased at once.
+    made: usize,
+    leases: usize,
+}
 
-impl Deref for ArenaLease {
+impl ArenaPool {
+    /// An empty pool.
+    pub fn new() -> Self {
+        ArenaPool::default()
+    }
+
+    /// Lease an idle arena, or a new one if none is idle.
+    pub fn lease(&self) -> ArenaLease<'_> {
+        let mut state = self.state();
+        state.leases += 1;
+        let arena = state.idle.pop().unwrap_or_else(|| {
+            state.made += 1;
+            SplitArena::new()
+        });
+        ArenaLease {
+            arena: Some(arena),
+            pool: self,
+        }
+    }
+
+    /// Arenas this pool has made so far. Leases beyond this count were
+    /// served by reuse.
+    pub fn arenas_made(&self) -> usize {
+        self.state().made
+    }
+
+    /// Leases taken from this pool so far.
+    pub fn leases(&self) -> usize {
+        self.state().leases
+    }
+
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        // every update leaves the idle list valid, and a lease's Drop
+        // must not panic while a panicking build unwinds: take the guard
+        // even if a panic poisoned the lock
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// A [`SplitArena`] borrowed from an [`ArenaPool`]; returns the arena
+/// (buffers intact) on drop. Dereferences to the arena.
+pub struct ArenaLease<'a> {
+    arena: Option<SplitArena>,
+    pool: &'a ArenaPool,
+}
+
+impl Deref for ArenaLease<'_> {
     type Target = SplitArena;
 
     fn deref(&self) -> &SplitArena {
-        self.0.as_ref().expect("arena present until drop")
+        self.arena.as_ref().expect("arena present until drop")
     }
 }
 
-impl DerefMut for ArenaLease {
+impl DerefMut for ArenaLease<'_> {
     fn deref_mut(&mut self) -> &mut SplitArena {
-        self.0.as_mut().expect("arena present until drop")
+        self.arena.as_mut().expect("arena present until drop")
     }
 }
 
-impl Drop for ArenaLease {
+impl Drop for ArenaLease<'_> {
     fn drop(&mut self) {
-        if let Some(arena) = self.0.take() {
-            ARENA_POOL.with(|pool| {
-                let mut pool = pool.borrow_mut();
-                if pool.len() < ARENA_POOL_CAP {
-                    pool.push(arena);
-                }
-            });
+        if let Some(arena) = self.arena.take() {
+            self.pool.state().idle.push(arena);
         }
     }
 }
@@ -564,16 +591,20 @@ mod tests {
     }
 
     #[test]
-    fn lease_recycles_buffers_per_thread() {
+    fn pool_recycles_buffers_between_leases() {
         let g = generators::grid(8, 8);
+        let pool = ArenaPool::new();
         let cap = {
-            let mut lease = SplitArena::lease();
+            let mut lease = pool.lease();
             lease.split(&g, &vec![0u32; 64], 1);
             lease.targets.capacity()
         };
         // the recycled arena comes back with its buffers intact
-        let lease = SplitArena::lease();
-        assert!(lease.targets.capacity() >= cap);
+        let held = pool.lease();
+        assert!(held.targets.capacity() >= cap);
+        // a second concurrent lease needs a second arena
+        let _other = pool.lease();
+        assert_eq!((pool.leases(), pool.arenas_made()), (3, 2));
     }
 
     #[test]
