@@ -40,13 +40,15 @@
 //!   `--systemic` of a table's gated cells regress, and at least 3 — a
 //!   real slowdown shifts a whole table, noise flips isolated cells).
 //!
-//! Tables or rows present on only one side are reported but not fatal
-//! (the matrix is allowed to grow): the table-set difference is printed
-//! up front as explicit `added`/`removed` lists, so a table that
-//! silently fell out of the fresh run is visible rather than
-//! indistinguishable from a passing one. A `meta` workload mismatch (`n`,
-//! `queries`, `seed`, or `schema_version` differing) **is** fatal, since
-//! numbers from different workloads cannot be meaningfully compared.
+//! Tables, rows or columns present on only one side are reported but
+//! not fatal (the matrix is allowed to grow): the table-set difference
+//! is printed up front as explicit `added`/`removed` lists, and each
+//! shared table names the baseline columns the fresh run no longer
+//! has, so a table or column that silently fell out of the fresh run is
+//! visible rather than indistinguishable from a passing one. A `meta`
+//! workload mismatch (`n`, `queries`, `seed`, or `schema_version`
+//! differing) **is** fatal, since numbers from different workloads
+//! cannot be meaningfully compared.
 //! Tiny absolute values (both sides < 1 ms / < 1 qps) are skipped — at
 //! that scale the timer, not the code, dominates. Gated **time** cells
 //! additionally pass through a materiality floor: a relative band on a
@@ -134,6 +136,24 @@ fn decompose(row: &JsonValue) -> Option<Row<'_>> {
         }
     }
     Some(Row { key, metrics })
+}
+
+/// Columns the baseline rows carry that no fresh row does, in baseline
+/// order. Their cells have nothing to compare against, so the caller
+/// names them instead of skipping them silently.
+fn removed_columns<'a>(base_rows: &'a [JsonValue], fresh_rows: &[JsonValue]) -> Vec<&'a str> {
+    let columns = |row: &'a JsonValue| match row {
+        JsonValue::Object(fields) => fields.iter().map(|(c, _)| c.as_str()).collect(),
+        _ => Vec::new(),
+    };
+    let mut removed: Vec<&str> = Vec::new();
+    for column in base_rows.iter().flat_map(columns) {
+        let in_fresh = fresh_rows.iter().any(|row| row.get(column).is_some());
+        if !in_fresh && !removed.contains(&column) {
+            removed.push(column);
+        }
+    }
+    removed
 }
 
 /// Load one report document and return its (meta, tables) objects.
@@ -247,6 +267,14 @@ fn main() {
         let Some(base_rows) = base_rows.as_array() else {
             continue;
         };
+        let gone = removed_columns(base_rows, fresh_rows);
+        if !gone.is_empty() {
+            println!(
+                "~ {name}: {} column(s) only in {baseline_path} (removed, not gated): {}",
+                gone.len(),
+                gone.join(", ")
+            );
+        }
         let fresh_by_key: Vec<Row<'_>> = fresh_rows.iter().filter_map(decompose).collect();
         let mut gated_cells = 0usize;
         let mut violations = 0usize;
@@ -362,4 +390,32 @@ fn main() {
         std::process::exit(1);
     }
     println!("OK: no severe or systemic regression");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rows(text: &str) -> Vec<JsonValue> {
+        JsonValue::parse(text)
+            .unwrap()
+            .as_array()
+            .expect("a JSON array of rows")
+            .to_vec()
+    }
+
+    #[test]
+    fn baseline_columns_missing_from_the_fresh_run_are_named() {
+        let base = rows(
+            r#"[{"algo":"dial","btree (s)":"0.2","calendar (s)":"0.1","speedup":"2.0"},
+                {"algo":"delta","btree (s)":"0.3","calendar (s)":"0.2","speedup":"1.5"}]"#,
+        );
+        let fresh = rows(r#"[{"algo":"dial","calendar (s)":"0.1"}]"#);
+        assert_eq!(removed_columns(&base, &fresh), ["btree (s)", "speedup"]);
+        assert!(
+            removed_columns(&fresh, &base).is_empty(),
+            "added columns are not removals"
+        );
+        assert!(removed_columns(&base, &base).is_empty());
+    }
 }

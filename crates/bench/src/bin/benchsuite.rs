@@ -56,12 +56,10 @@
 //!   bytes, resident adjacency-slab bytes, and mmap-served `query_batch`
 //!   qps for both encodings (answers gated byte-identical to the
 //!   reference either way);
-//! * **frontier race**: Dial and Δ-stepping SSSP over weighted gnp and
-//!   grid2d graphs at several sizes (up to `n = 120 000`), each run
-//!   through both [`psh_graph::QueueKind`]s — the calendar
-//!   [`psh_graph::BucketQueue`] vs the `BTreeMap` baseline — best of 3,
-//!   with the distance/parent arrays gated identical between the two
-//!   queues;
+//! * **frontier cells**: Dial and Δ-stepping SSSP over weighted gnp and
+//!   grid2d graphs at several sizes (up to `n = 120 000`), driven by the
+//!   calendar [`psh_graph::BucketQueue`] — best of 5, with the distance
+//!   arrays gated equal to Dijkstra's on the same graph;
 //! * **sharded-vs-monolithic cells** per build: the same graph
 //!   partitioned into 4 shards by [`psh_core::shard::ShardedOracleBuilder`]
 //!   (per-shard builds fanned across the pool) next to the monolithic
@@ -100,6 +98,7 @@
 
 use psh_bench::alloc::{live_bytes, peak_above, reset_peak, CountingAlloc};
 use psh_bench::json::{has_flag, parse_flag};
+use psh_bench::stats::trip_stats;
 use psh_bench::table::{fmt_f, fmt_u, Table};
 use psh_bench::workloads::{random_pairs, Family};
 use psh_bench::Report;
@@ -114,10 +113,10 @@ use psh_core::snapshot::{
 };
 use psh_core::HopsetParams;
 use psh_exec::{ExecutionPolicy, Executor};
-use psh_graph::traversal::delta_stepping::{default_delta, delta_stepping_queued};
-use psh_graph::traversal::dial::dial_sssp_queued;
-use psh_graph::traversal::dijkstra::dijkstra_pair;
-use psh_graph::{CsrGraph, GraphDelta, LoadMode, QueueKind, INF};
+use psh_graph::traversal::delta_stepping::{default_delta, delta_stepping_with};
+use psh_graph::traversal::dial::dial_sssp_with;
+use psh_graph::traversal::dijkstra::{dijkstra, dijkstra_pair};
+use psh_graph::{CsrGraph, GraphDelta, LoadMode, INF};
 use psh_net::{NetClient, NetServer, ServerConfig};
 use psh_pram::Cost;
 use std::net::SocketAddr;
@@ -169,14 +168,14 @@ fn run_clients(service: &OracleService, pairs: &[(u32, u32)], clients: usize) ->
         .collect()
 }
 
+/// One worker's share: answers tagged with their `pairs` index, plus
+/// one `(queries, latency_ms)` sample per round trip.
+type ClientShare = (Vec<(usize, QueryResult)>, Vec<(usize, f64)>);
+
 /// Drive `clients` loopback sockets of strided `query_batch` round
 /// trips (32 pairs each) through a bound server; returns the answers
-/// indexed like `pairs` plus client-side stats rebuilt from the
-/// per-round-trip latency samples.
-/// One worker's share: answers tagged with their `pairs` index, plus
-/// per-round-trip latencies in milliseconds.
-type ClientShare = (Vec<(usize, QueryResult)>, Vec<f64>);
-
+/// indexed like `pairs` plus per-query client-side stats
+/// ([`trip_stats`]: each query carries its trip's latency).
 fn run_net_clients(
     addr: SocketAddr,
     pairs: &[(u32, u32)],
@@ -197,15 +196,15 @@ fn run_net_clients(
                         .step_by(clients)
                         .collect();
                     let mut indexed = Vec::with_capacity(mine.len());
-                    let mut lats = Vec::new();
+                    let mut trips = Vec::new();
                     for trip in mine.chunks(TRIP) {
                         let ask: Vec<(u32, u32)> = trip.iter().map(|&(_, p)| p).collect();
                         let t0 = Instant::now();
                         let got = client.query_batch(&ask).expect("loopback batch");
-                        lats.push(t0.elapsed().as_secs_f64() * 1e3);
+                        trips.push((trip.len(), t0.elapsed().as_secs_f64() * 1e3));
                         indexed.extend(trip.iter().map(|&(i, _)| i).zip(got));
                     }
-                    (indexed, lats)
+                    (indexed, trips)
                 })
             })
             .collect();
@@ -216,15 +215,14 @@ fn run_net_clients(
     });
     let elapsed_s = start.elapsed().as_secs_f64();
     let mut answers: Vec<Option<QueryResult>> = vec![None; pairs.len()];
-    let mut lats = Vec::new();
-    for (indexed, l) in per_client {
+    let mut trips = Vec::new();
+    for (indexed, t) in per_client {
         for (i, a) in indexed {
             answers[i] = Some(a);
         }
-        lats.extend(l);
+        trips.extend(t);
     }
-    let trips = lats.len() as u64;
-    let stats = ServiceStats::from_samples(lats, elapsed_s, trips, TRIP, Cost::ZERO);
+    let stats = trip_stats(&trips, elapsed_s);
     let answers = answers
         .into_iter()
         .map(|a| a.expect("every index covered"))
@@ -606,14 +604,7 @@ fn main() {
         "comp qps",
         "identical",
     ]);
-    let mut frontier_table = Table::new([
-        "algo",
-        "family",
-        "n",
-        "btree (s)",
-        "calendar (s)",
-        "speedup",
-    ]);
+    let mut frontier_table = Table::new(["algo", "family", "n", "calendar (s)"]);
     let mut shard_table = Table::new([
         "family",
         "weights",
@@ -1045,12 +1036,12 @@ fn main() {
     );
     drop((run_big, g_big, buf_big));
 
-    // --- frontier race: calendar bucket queue vs the BTree baseline -------
-    // Sequential executor: the race isolates the queue data structure,
-    // and both queues feed the identical drive_on engine, so the
-    // distance/parent arrays must be bitwise equal — that equality is a
-    // gated cell like any serving cell.
-    println!("racing the calendar bucket queue against the BTree baseline …");
+    // --- frontier: Dial and Δ-stepping on the calendar bucket queue -----
+    // Sequential executor, best of 5. Each search's distances must equal
+    // Dijkstra's on the same graph — that equality is a gated cell like
+    // any serving cell (parents may differ on ties, so only distances
+    // are compared).
+    println!("timing Dial and Δ-stepping on the calendar bucket queue …");
     let exec = Executor::sequential();
     let frontier_sizes: Vec<usize> = if quick {
         vec![n, 30_000]
@@ -1061,48 +1052,37 @@ fn main() {
         for &fsize in &frontier_sizes {
             let g = family.instantiate_weighted(fsize, 64.0, seed ^ 0xF07);
             let delta = default_delta(&g);
+            let exact = dijkstra(&g, 0).dist;
             type Sssp = (psh_graph::traversal::SsspResult, Cost);
-            type QueuedRun<'a> = Box<dyn Fn(QueueKind) -> Sssp + 'a>;
-            let algos: [(&str, QueuedRun<'_>); 2] = [
-                (
-                    "dial",
-                    Box::new(|kind| dial_sssp_queued(&exec, &g, &[(0, 0)], INF, kind)),
-                ),
+            type Search<'a> = Box<dyn Fn() -> Sssp + 'a>;
+            let algos: [(&str, Search<'_>); 2] = [
+                ("dial", Box::new(|| dial_sssp_with(&exec, &g, 0))),
                 (
                     "delta",
-                    Box::new(|kind| delta_stepping_queued(&exec, &g, 0, delta, kind)),
+                    Box::new(|| delta_stepping_with(&exec, &g, 0, delta)),
                 ),
             ];
             for (aname, run) in &algos {
-                let race = |kind: QueueKind| -> (f64, psh_graph::traversal::SsspResult) {
-                    let mut best = f64::INFINITY;
-                    let mut result = None;
-                    for _ in 0..5 {
-                        let t0 = Instant::now();
-                        let (r, _) = run(kind);
-                        best = best.min(t0.elapsed().as_secs_f64());
-                        result = Some(r);
-                    }
-                    (best, result.expect("five reps ran"))
-                };
-                let (btree_s, btree_result) = race(QueueKind::Btree);
-                let (calendar_s, calendar_result) = race(QueueKind::Calendar);
-                let identical = btree_result == calendar_result;
+                let mut best = f64::INFINITY;
+                let mut identical = true;
+                for _ in 0..5 {
+                    let t0 = Instant::now();
+                    let (r, _) = run();
+                    best = best.min(t0.elapsed().as_secs_f64());
+                    identical &= r.dist == exact;
+                }
                 mismatches += usize::from(!identical);
                 cells += 1;
                 if !identical {
                     eprintln!(
-                        "frontier race {aname}/{fname}/n={fsize}: the two queues \
-                         produced different SSSP artifacts"
+                        "frontier {aname}/{fname}/n={fsize}: distances differ from Dijkstra's"
                     );
                 }
                 frontier_table.row([
                     aname.to_string(),
                     fname.to_string(),
                     fmt_u(g.n() as u64),
-                    fmt_s(btree_s),
-                    fmt_s(calendar_s),
-                    fmt_f(btree_s / calendar_s.max(1e-12)),
+                    fmt_s(best),
                 ]);
             }
         }
@@ -1202,7 +1182,7 @@ fn main() {
     baselines_table.print();
     println!("\n## compressed adjacency (plain vs delta-gap v2 snapshots)\n");
     compress_table.print();
-    println!("\n## frontier race (BTree baseline vs calendar queue, sequential)\n");
+    println!("\n## frontier (calendar queue, sequential; distances gated on Dijkstra)\n");
     frontier_table.print();
     println!("\n## sharded vs monolithic (4 shards, stretch gated at 3×)\n");
     shard_table.print();

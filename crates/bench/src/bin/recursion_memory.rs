@@ -1,22 +1,13 @@
-//! E18 — deep-recursion memory: arena-backed views vs per-cluster
-//! materialization in the Algorithm 4 recursion.
+//! E18 — deep-recursion memory of the Algorithm 4 recursion.
 //!
-//! Builds the same seeded hopset twice on an `n ≥ 100k` workload — once
-//! with `SplitStrategy::Materialize` (the legacy path: a fresh `CsrGraph`
-//! per cluster per level) and once with `SplitStrategy::Arena` (borrowed
-//! `CsrView`s over reused per-level scratch arenas) — under both
-//! `ExecutionPolicy::Sequential` and `Parallel`, and reports wall-clock
-//! and **peak allocated bytes** measured by a counting global allocator.
+//! Builds the same seeded hopset on an `n ≥ 100k` workload under
+//! `ExecutionPolicy::Sequential` and `Parallel`, each recursion level
+//! splitting its piece into borrowed `CsrView`s over reused per-level
+//! scratch arenas, and reports wall-clock and **peak allocated bytes**
+//! measured by a counting global allocator.
 //!
-//! Exits non-zero if
-//!
-//! * any strategy/policy combination produces a different artifact or
-//!   Cost than the sequential materializing reference (the tentpole's
-//!   byte-identity contract), or
-//! * the arena path fails to allocate strictly fewer peak bytes than the
-//!   materializing path on the sequential run (the whole point of the
-//!   refactor; the sequential pair is compared because parallel peaks
-//!   depend on scheduling overlap).
+//! Exits non-zero if the parallel build produces a different artifact or
+//! Cost than the sequential one (the policy byte-identity contract).
 //!
 //! Usage: `cargo run --release -p psh-bench --bin recursion_memory \
 //!             [--n N] [--threads K] [--json PATH]`
@@ -25,8 +16,7 @@ use psh_bench::alloc::{live_bytes, peak_above, reset_peak, CountingAlloc};
 use psh_bench::json::parse_flag;
 use psh_bench::table::{fmt_f, fmt_u, Table};
 use psh_bench::Report;
-use psh_core::hopset::unweighted::build_hopset_with_strategy_on;
-use psh_core::hopset::SplitStrategy;
+use psh_core::hopset::unweighted::build_hopset_with_beta0_on;
 use psh_core::{Hopset, HopsetParams};
 use psh_exec::{ExecutionPolicy, Executor};
 use psh_graph::generators;
@@ -50,10 +40,9 @@ fn run(
     params: &HopsetParams,
     beta0: f64,
     policy: ExecutionPolicy,
-    strategy: SplitStrategy,
 ) -> Measured {
     // Warm the executor pool outside the measured window so thread-stack
-    // and pool bookkeeping allocations don't pollute the comparison. Each
+    // and pool bookkeeping allocations don't pollute the measurement. Each
     // build owns its split scratch and frees it on return, so no run
     // inherits another's arenas.
     let exec = Executor::new(policy);
@@ -61,14 +50,8 @@ fn run(
     let base = live_bytes();
     reset_peak();
     let start = Instant::now();
-    let (hopset, cost) = build_hopset_with_strategy_on(
-        &exec,
-        g,
-        params,
-        beta0,
-        strategy,
-        &mut StdRng::seed_from_u64(7),
-    );
+    let (hopset, cost) =
+        build_hopset_with_beta0_on(&exec, g, params, beta0, &mut StdRng::seed_from_u64(7));
     let wall_s = start.elapsed().as_secs_f64();
     let peak_bytes = peak_above(base);
     Measured {
@@ -110,85 +93,48 @@ fn main() {
     let beta0 = params.beta0(g.n());
 
     println!(
-        "# recursion_memory — Algorithm 4 split strategies on n={} m={} (β₀={beta0:.2e})\n",
+        "# recursion_memory — Algorithm 4 arena recursion on n={} m={} (β₀={beta0:.2e})\n",
         g.n(),
         g.m()
     );
 
-    let combos = [
-        ("seq", ExecutionPolicy::Sequential),
-        ("par", ExecutionPolicy::Parallel { threads }),
-    ];
-    let mut t = Table::new([
-        "policy",
-        "strategy",
-        "wall-clock (s)",
-        "peak bytes",
-        "peak vs legacy",
-        "identical",
-    ]);
-    let mut failures = 0usize;
-    let mut seq_peaks = (0usize, 0usize); // (legacy, arena)
-    let mut reference: Option<(Hopset, Cost)> = None;
-
-    for (pname, policy) in combos {
-        let legacy = run(&g, &params, beta0, policy, SplitStrategy::Materialize);
-        let arena = run(&g, &params, beta0, policy, SplitStrategy::Arena);
-        let reference = reference.get_or_insert_with(|| (legacy.hopset.clone(), legacy.cost));
-        if pname == "seq" {
-            seq_peaks = (legacy.peak_bytes, arena.peak_bytes);
-        }
-        for (sname, m) in [("materialize", &legacy), ("arena", &arena)] {
-            let identical = m.hopset == reference.0 && m.cost == reference.1;
-            if !identical {
-                failures += 1;
-            }
-            t.row([
-                pname.to_string(),
-                sname.to_string(),
-                fmt_f(m.wall_s),
-                fmt_u(m.peak_bytes as u64),
-                format!(
-                    "{:.2}x",
-                    m.peak_bytes as f64 / legacy.peak_bytes.max(1) as f64
-                ),
-                if identical { "yes" } else { "MISMATCH" }.to_string(),
-            ]);
-            report
-                .meta(&format!("wall_s_{pname}_{sname}"), m.wall_s)
-                .meta(&format!("peak_bytes_{pname}_{sname}"), m.peak_bytes as u64);
-        }
+    let mut t = Table::new(["policy", "wall-clock (s)", "peak bytes", "identical"]);
+    let seq = run(&g, &params, beta0, ExecutionPolicy::Sequential);
+    let par = run(&g, &params, beta0, ExecutionPolicy::Parallel { threads });
+    let identical = par.hopset == seq.hopset && par.cost == seq.cost;
+    for (pname, m) in [("seq", &seq), ("par", &par)] {
+        let verdict = if pname == "seq" {
+            "reference"
+        } else if identical {
+            "yes"
+        } else {
+            "MISMATCH"
+        };
+        t.row([
+            pname.to_string(),
+            fmt_f(m.wall_s),
+            fmt_u(m.peak_bytes as u64),
+            verdict.to_string(),
+        ]);
+        report
+            .meta(&format!("wall_s_{pname}"), m.wall_s)
+            .meta(&format!("peak_bytes_{pname}"), m.peak_bytes as u64);
     }
     t.print();
+    println!("\nhopset: {} edges | {}", seq.hopset.size(), seq.cost);
 
-    let (legacy_peak, arena_peak) = seq_peaks;
-    println!(
-        "\nhopset: {} edges | sequential peak: arena {} vs materialize {} ({:.1}% saved)",
-        reference.as_ref().map_or(0, |(h, _)| h.size()),
-        fmt_u(arena_peak as u64),
-        fmt_u(legacy_peak as u64),
-        100.0 * (1.0 - arena_peak as f64 / legacy_peak.max(1) as f64),
-    );
-
+    let failures = usize::from(!identical);
     if failures > 0 {
-        eprintln!("recursion_memory: {failures} strategy/policy combination(s) diverged");
-    }
-    if arena_peak >= legacy_peak {
         eprintln!(
-            "recursion_memory: arena path peak {arena_peak} B is not strictly below the \
-             materializing path's {legacy_peak} B"
+            "recursion_memory: the Parallel{{{threads}}} build diverged from the sequential one"
         );
-        failures += 1;
     }
 
     report
         .meta("n", g.n())
         .meta("m", g.m())
         .meta("threads", threads as u64)
-        .meta(
-            "hopset_edges",
-            reference.as_ref().map_or(0, |(h, _)| h.size()) as u64,
-        )
+        .meta("hopset_edges", seq.hopset.size() as u64)
         .meta("failures", failures as u64);
     report.push_table("recursion_memory", &t);
     report.finish();

@@ -1,8 +1,8 @@
 //! # psh-bench — the experiment harness
 //!
 //! Shared infrastructure for the table-generator binaries (`src/bin/`)
-//! that regenerate every table and figure of the paper, and for the
-//! Criterion micro-benchmarks (`benches/`). The workspace README lists
+//! that regenerate every table and figure of the paper, and for
+//! `benchsuite`, the serving-benchmark matrix. The workspace README lists
 //! the experiment index; each binary prints its own table, and every
 //! binary accepts `--json PATH` to also emit a machine-readable
 //! [`json::Report`] (rows + n/m/params metadata + wall-clock + thread

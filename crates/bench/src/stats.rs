@@ -47,11 +47,32 @@ impl Summary {
 /// binaries report p50/p99/p999 latency with this. Empty samples give 0.
 ///
 /// The implementation lives in [`psh_core::service`] (the serving layer's
-/// [`ServiceStats`](psh_core::service::ServiceStats) computes its
-/// percentiles with the same function); this re-export keeps the
-/// historical `psh_bench::stats::percentile` path — and its tests —
-/// working.
+/// [`ServiceStats`] computes its percentiles with the same function);
+/// this re-export keeps the historical `psh_bench::stats::percentile`
+/// path — and its tests — working.
 pub use psh_core::service::percentile;
+
+use psh_core::service::ServiceStats;
+use psh_pram::Cost;
+
+/// Client-side stats of a closed-loop wire run from its round trips,
+/// each `(queries, latency_ms)`. Every query is served once and recorded
+/// with its trip's latency, so `served` and `qps` count queries, not
+/// trips, and the percentiles are per query; `batches` counts trips.
+pub fn trip_stats(trips: &[(usize, f64)], elapsed_s: f64) -> ServiceStats {
+    let latencies_ms = trips
+        .iter()
+        .flat_map(|&(queries, ms)| std::iter::repeat_n(ms, queries))
+        .collect();
+    let largest = trips.iter().map(|&(queries, _)| queries).max().unwrap_or(0);
+    ServiceStats::from_samples(
+        latencies_ms,
+        elapsed_s,
+        trips.len() as u64,
+        largest,
+        Cost::ZERO,
+    )
+}
 
 /// Log-log regression slope of `y` against `x` — the tool for checking the
 /// paper's size exponents (`n^{1+1/k}` shows up as slope `1 + 1/k`).
@@ -104,6 +125,20 @@ mod tests {
         assert_eq!(percentile(&[], 50.0), 0.0);
         // order independence
         assert_eq!(percentile(&[3.0, 1.0, 2.0], 50.0), 2.0);
+    }
+
+    #[test]
+    fn a_trip_of_32_queries_counts_as_32_served() {
+        // three trips: two full 32-query trips and a 4-query tail
+        let trips = [(32, 2.0), (32, 4.0), (4, 1.0)];
+        let stats = trip_stats(&trips, 0.5);
+        assert_eq!(stats.served, 68);
+        assert_eq!(stats.batches, 3);
+        assert_eq!(stats.largest_batch, 32);
+        assert_eq!(stats.qps, 68.0 / 0.5, "qps is queries / elapsed");
+        // per-query percentiles: 36 of 68 queries took ≤ 2 ms
+        assert_eq!(stats.p50_ms, 2.0);
+        assert_eq!(stats.p99_ms, 4.0);
     }
 
     #[test]

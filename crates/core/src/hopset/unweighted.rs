@@ -29,19 +29,14 @@
 //! **Recursion substrate.** The whole recursion is generic over
 //! [`GraphView`]: the root call works on whatever the caller hands in
 //! (usually an owned [`psh_graph::CsrGraph`]), and each level splits its
-//! piece into per-cluster children through one of two interchangeable
-//! [`SplitStrategy`]s. The default [`SplitStrategy::Arena`] fills a
-//! reusable [`psh_graph::SplitArena`] leased from the build's own
-//! [`ArenaPool`] and recurses on borrowed [`psh_graph::CsrView`]s — no
-//! per-child graph materialization, so a depth-`d` build no longer copies
-//! the adjacency structure `O(d)` times. The pool belongs to one builder
-//! call (one hopset, or every band of a weighted family), is shared by
-//! its workers, and is dropped when the call returns, so no split scratch
+//! piece into per-cluster children by filling a reusable
+//! [`psh_graph::SplitArena`] leased from the build's own [`ArenaPool`],
+//! then recurses on borrowed [`psh_graph::CsrView`]s — no per-child graph
+//! materialization, so a depth-`d` build never copies the adjacency
+//! structure `O(d)` times. The pool belongs to one builder call (one
+//! hopset, or every band of a weighted family), is shared by its
+//! workers, and is dropped when the call returns, so no split scratch
 //! outlives the build.
-//! [`SplitStrategy::Materialize`] is the legacy reference path (owned
-//! `CsrGraph` per child), kept for the `recursion_memory` bench and the
-//! `view_equivalence` suite, which prove the two paths produce
-//! byte-identical artifacts and Costs.
 //!
 //! The same code serves the weighted construction of §5: the clustering
 //! engine and the bucketed searches already handle integer weights, and §5
@@ -50,30 +45,12 @@
 use super::{Hopset, HopsetParams};
 use psh_cluster::ClusterBuilder;
 use psh_exec::Executor;
-use psh_graph::subgraph::split_by_labels;
 use psh_graph::traversal::dial::dial_sssp_with;
 use psh_graph::view::ArenaPool;
 use psh_graph::{Edge, GraphView, VertexId, INF};
 use psh_pram::Cost;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// How the recursion turns one level's clusters into child subproblems.
-/// Both strategies yield byte-identical artifacts and [`Cost`]s; they
-/// differ only in allocation behavior.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SplitStrategy {
-    /// Fill a per-level [`psh_graph::SplitArena`] (leased from the
-    /// build's [`ArenaPool`]) and recurse on borrowed
-    /// [`psh_graph::CsrView`]s. The production path: no per-child
-    /// allocation.
-    #[default]
-    Arena,
-    /// Materialize an owned [`psh_graph::CsrGraph`] per child
-    /// (`split_by_labels`). The legacy reference path, kept for
-    /// equivalence testing and memory benchmarking.
-    Materialize,
-}
 
 /// Build a hopset with an explicit top-level β₀ (§5 and Appendix C call
 /// this with their own β₀ choices), on the process-default executor.
@@ -87,8 +64,7 @@ pub fn build_hopset_with_beta0<G: GraphView, R: Rng>(
 }
 
 /// [`build_hopset_with_beta0`] on an explicit executor — recursion,
-/// clusterings, and clique searches all share its pool. Uses the default
-/// [`SplitStrategy::Arena`].
+/// clusterings, and clique searches all share its pool.
 pub fn build_hopset_with_beta0_on<G: GraphView, R: Rng>(
     exec: &Executor,
     g: &G,
@@ -96,24 +72,10 @@ pub fn build_hopset_with_beta0_on<G: GraphView, R: Rng>(
     beta0: f64,
     rng: &mut R,
 ) -> (Hopset, Cost) {
-    build_hopset_with_strategy_on(exec, g, params, beta0, SplitStrategy::default(), rng)
+    build_hopset_in(exec, &ArenaPool::new(), g, params, beta0, rng)
 }
 
-/// [`build_hopset_with_beta0_on`] with an explicit [`SplitStrategy`].
-/// The `recursion_memory` bench and the equivalence suites call this with
-/// both strategies and assert the outputs are byte-identical.
-pub fn build_hopset_with_strategy_on<G: GraphView, R: Rng>(
-    exec: &Executor,
-    g: &G,
-    params: &HopsetParams,
-    beta0: f64,
-    strategy: SplitStrategy,
-    rng: &mut R,
-) -> (Hopset, Cost) {
-    build_hopset_in(exec, &ArenaPool::new(), g, params, beta0, strategy, rng)
-}
-
-/// [`build_hopset_with_strategy_on`] with its split scratch leased from
+/// [`build_hopset_with_beta0_on`] with its split scratch leased from
 /// `arenas`. A caller that runs several builds (the bands of a weighted
 /// family) shares one pool between them, so they reuse each other's
 /// arenas; the scratch lives exactly as long as the pool.
@@ -123,7 +85,6 @@ pub(crate) fn build_hopset_in<G: GraphView, R: Rng>(
     g: &G,
     params: &HopsetParams,
     beta0: f64,
-    strategy: SplitStrategy,
     rng: &mut R,
 ) -> (Hopset, Cost) {
     params.validate().expect("invalid hopset parameters");
@@ -133,7 +94,6 @@ pub(crate) fn build_hopset_in<G: GraphView, R: Rng>(
         rho: params.rho(n),
         n_final: params.n_final(n),
         exec: exec.clone(),
-        strategy,
         arenas,
     };
     let ident: Vec<VertexId> = (0..n as u32).collect();
@@ -154,7 +114,6 @@ struct Ctx<'a> {
     rho: f64,
     n_final: usize,
     exec: Executor,
-    strategy: SplitStrategy,
     arenas: &'a ArenaPool,
 }
 
@@ -252,56 +211,31 @@ fn recurse<G: GraphView>(
     }
 
     // Recursive calls run in parallel (lines 4 and 10); seeds are drawn in
-    // deterministic cluster order before the parallel region. Both split
-    // strategies feed the children to the identical recursion, so the
-    // fan-out below differs only in where the child bytes live.
+    // deterministic cluster order before the parallel region, and every
+    // child recurses on a borrowed view into this level's arena.
     let tasks: Vec<(usize, u64)> = recurse_on.iter().map(|&cid| (cid, rng.random())).collect();
-    let children: Vec<Outcome> = match ctx.strategy {
-        SplitStrategy::Arena => {
-            let mut arena = ctx.arenas.lease();
-            let split_cost = arena.split(sub, &clustering.cluster_id, clustering.num_clusters);
-            cost = cost.then(split_cost);
-            let arena = &*arena;
-            ctx.exec.par_map(&tasks, 1, |&(cid, child_seed)| {
-                let child_global: Vec<VertexId> = arena
-                    .to_parent(cid)
-                    .iter()
-                    .map(|&p| to_global[p as usize])
-                    .collect();
-                let view = arena.view(cid);
-                recurse(
-                    &view,
-                    &child_global,
-                    next_beta,
-                    depth + 1,
-                    false,
-                    ctx,
-                    child_seed,
-                )
-            })
-        }
-        SplitStrategy::Materialize => {
-            let (pieces, split_cost) =
-                split_by_labels(sub, &clustering.cluster_id, clustering.num_clusters);
-            cost = cost.then(split_cost);
-            ctx.exec.par_map(&tasks, 1, |&(cid, child_seed)| {
-                let piece = &pieces[cid];
-                let child_global: Vec<VertexId> = piece
-                    .to_parent
-                    .iter()
-                    .map(|&p| to_global[p as usize])
-                    .collect();
-                recurse(
-                    &piece.graph,
-                    &child_global,
-                    next_beta,
-                    depth + 1,
-                    false,
-                    ctx,
-                    child_seed,
-                )
-            })
-        }
+    let children: Vec<Outcome> = {
+        let mut arena = ctx.arenas.lease();
+        let split_cost = arena.split(sub, &clustering.cluster_id, clustering.num_clusters);
+        cost = cost.then(split_cost);
+        let arena = &*arena;
+        ctx.exec.par_map(&tasks, 1, |&(cid, child_seed)| {
+            let child_global: Vec<VertexId> = arena
+                .to_parent(cid)
+                .iter()
+                .map(|&p| to_global[p as usize])
+                .collect();
+            let view = arena.view(cid);
+            recurse(
+                &view,
+                &child_global,
+                next_beta,
+                depth + 1,
+                false,
+                ctx,
+                child_seed,
+            )
+        })
     };
 
     let mut max_level = if (!first && !large.is_empty()) || !edges.is_empty() {
@@ -429,33 +363,36 @@ mod tests {
     }
 
     #[test]
-    fn split_strategies_agree_exactly() {
-        // The tentpole contract at unit-test granularity: arena-backed
-        // recursion and materializing recursion are indistinguishable in
-        // artifact and cost. The integration-level proptest suite
-        // (tests/view_equivalence.rs) covers more seeds and policies.
+    fn arena_build_matches_its_golden_digest() {
+        // FNV-1a over every field of `(Hopset, Cost)`, recorded when the
+        // recursion still had a materialising split to compare against
+        // (the two agreed); the arena recursion must keep landing on it.
         let mut rng = StdRng::seed_from_u64(77);
         let g = generators::connected_random(400, 900, &mut rng);
         let p = test_params();
-        let beta0 = p.beta0(g.n());
-        let exec = Executor::sequential();
-        let arena = build_hopset_with_strategy_on(
-            &exec,
+        let (h, cost) = build_hopset_with_beta0_on(
+            &Executor::sequential(),
             &g,
             &p,
-            beta0,
-            SplitStrategy::Arena,
+            p.beta0(g.n()),
             &mut StdRng::seed_from_u64(7),
         );
-        let materialized = build_hopset_with_strategy_on(
-            &exec,
-            &g,
-            &p,
-            beta0,
-            SplitStrategy::Materialize,
-            &mut StdRng::seed_from_u64(7),
-        );
-        assert_eq!(arena, materialized);
+        let words = [
+            h.n as u64,
+            h.edges.len() as u64,
+            h.star_count as u64,
+            h.clique_count as u64,
+            h.levels as u64,
+            cost.work,
+            cost.depth,
+        ]
+        .into_iter()
+        .chain(h.edges.iter().flat_map(|e| [e.u as u64, e.v as u64, e.w]));
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for byte in words.flat_map(u64::to_le_bytes) {
+            digest = (digest ^ byte as u64).wrapping_mul(0x100_0000_01b3);
+        }
+        assert_eq!(digest, 0xe5ef_7fa4_0341_d57f);
     }
 
     #[test]
@@ -474,7 +411,6 @@ mod tests {
             &g,
             &p,
             p.beta0(g.n()),
-            SplitStrategy::Arena,
             &mut StdRng::seed_from_u64(7),
         );
         let splits = arenas.leases();
@@ -486,12 +422,11 @@ mod tests {
         assert!(arenas.arenas_made() <= h.levels + 1);
         // the public entry point builds the same artifact on a fresh
         // pool of its own
-        let fresh = build_hopset_with_strategy_on(
+        let fresh = build_hopset_with_beta0_on(
             &Executor::sequential(),
             &g,
             &p,
             p.beta0(g.n()),
-            SplitStrategy::Arena,
             &mut StdRng::seed_from_u64(7),
         );
         assert_eq!((h, cost), fresh);

@@ -14,7 +14,7 @@
 //! (Lemma 4.2 + Lemma 5.2) — so the minimum is a `(1+ε')`-approximation.
 
 use super::rounding::Rounding;
-use super::unweighted::{build_hopset_in, SplitStrategy};
+use super::unweighted::build_hopset_in;
 use super::{Hopset, HopsetParams};
 use psh_exec::Executor;
 use psh_graph::traversal::bellman_ford::{hop_limited_pair, ExtraEdges};
@@ -164,7 +164,6 @@ pub(crate) fn build_weighted_hopsets_impl<R: Rng>(
             &graph,
             params,
             beta0,
-            SplitStrategy::default(),
             &mut StdRng::seed_from_u64(seed),
         );
         // hop budget from Lemma 4.2 at the band's top distance, in rounded

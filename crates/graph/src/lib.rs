@@ -37,9 +37,9 @@
 //!   subgraph views backed by reusable per-recursion-level scratch
 //!   arenas, so Algorithm 4's recursion never materializes a `CsrGraph`
 //!   per cluster per level.
-//! * [`subgraph`] — the materializing reference split (per-cluster owned
-//!   subgraphs), kept for callers that need owned children and as the
-//!   equivalence baseline for the arena path.
+//! * [`subgraph`] — the owned-child split (per-cluster owned subgraphs),
+//!   for callers that need owned children and as the reference the arena
+//!   views are checked against.
 //!
 //! All traversals are instrumented with the [`psh_pram::Cost`] work/depth
 //! model: work counts edge scans / relaxations, depth counts synchronous
@@ -65,9 +65,7 @@ pub mod view;
 pub use compress::{CompressedCsr, CompressedView};
 pub use csr::{CsrGraph, Edge, VertexId, Weight, INF};
 pub use delta::{DeltaError, DeltaOp, GraphDelta};
-pub use frontier::{
-    drive, drive_on, BTreeBucketQueue, BucketQueue, ClaimQueue, Frontier, QueueKind,
-};
+pub use frontier::{drive, BucketQueue, Frontier};
 pub use quotient::QuotientGraph;
 pub use source::{CompressedMmapView, ExtraSlabsView, LoadMode, MmapView, SnapshotSource, Verify};
 pub use subgraph::SubGraph;

@@ -1,4 +1,4 @@
-//! Induced subgraphs and the materializing cluster split.
+//! Induced subgraphs and the owned-child cluster split.
 //!
 //! Algorithm 4 (`HopSet`) recurses on each cluster of a decomposition "in
 //! parallel". The natural substrate operation is: given a dense labeling of
@@ -13,11 +13,10 @@
 //!   come back as borrowed [`crate::view::CsrView`]s over one reused
 //!   arena, with no per-child allocation. The hopset recursion runs on
 //!   this.
-//! * [`split_by_labels`] (here) — the materializing reference: children
-//!   are owned [`CsrGraph`]s. Kept for callers that need owned subgraphs
-//!   outliving the parent, and as the baseline the `view_equivalence`
-//!   suite and the `recursion_memory` bench compare the arena path
-//!   against.
+//! * [`split_by_labels`] (here) — children are owned [`CsrGraph`]s, for
+//!   callers that need subgraphs outliving the parent (the shard
+//!   partitioner), and the reference the `view_equivalence` suite checks
+//!   arena views against.
 
 use crate::csr::{CsrGraph, Edge, VertexId};
 use crate::view::GraphView;

@@ -4,8 +4,7 @@
 //! the single-threaded `query` / `query_batch` reference — under both
 //! `ExecutionPolicy` variants, on unweighted and weighted oracles, and
 //! with mixed single/batch submission. This is the integration-level
-//! proof behind `psh_core::service`'s determinism claim (PR 5's
-//! acceptance criterion).
+//! proof behind `psh_core::service`'s determinism claim.
 
 use psh::core::service::{CacheConfig, OracleService, ServiceConfig};
 use psh::prelude::*;
@@ -97,7 +96,7 @@ fn hammer(service: &OracleService, pairs: &[(u32, u32)]) -> Vec<QueryResult> {
     answers.into_iter().map(|a| a.unwrap()).collect()
 }
 
-/// The acceptance criterion: 32 interleaved client threads, every answer
+/// The acceptance check: 32 interleaved client threads, every answer
 /// byte-identical to the single-threaded reference, both policies, both
 /// oracle modes.
 #[test]

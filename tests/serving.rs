@@ -43,7 +43,7 @@ fn workload(n: usize, q: usize, seed: u64) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// The acceptance criterion: save → load → `query_batch` equals a fresh
+/// The acceptance check: save → load → `query_batch` equals a fresh
 /// build's answers and Cost, for Sequential and Parallel{2,4,8}.
 #[test]
 fn snapshot_roundtrip_serves_byte_identically() {

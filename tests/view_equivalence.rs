@@ -10,14 +10,14 @@
 //!    Δ-stepping, Dijkstra);
 //! 2. the clustering race — `ClusterBuilder` on a view equals
 //!    `ClusterBuilder` on the materialized child, artifact and cost;
-//! 3. the hopset recursion — `SplitStrategy::Arena` (production) and
-//!    `SplitStrategy::Materialize` (legacy reference) build identical
-//!    hopsets under `Sequential` and `Parallel` policies alike, and the
-//!    default builder path equals both.
+//! 3. the hopset recursion — the arena-backed recursion reproduces
+//!    fixed-seed `(Hopset, Cost)` digests recorded while a materialising
+//!    split still existed to compare against (the two agreed), under
+//!    `Sequential` and `Parallel` policies alike, and the default builder
+//!    path lands on the same bytes.
 
 use proptest::prelude::*;
-use psh::core::hopset::unweighted::build_hopset_with_strategy_on;
-use psh::core::hopset::SplitStrategy;
+use psh::core::hopset::unweighted::build_hopset_with_beta0_on;
 use psh::graph::subgraph::split_by_labels;
 use psh::graph::traversal::bfs::parallel_bfs_with;
 use psh::graph::traversal::delta_stepping::delta_stepping_with;
@@ -121,7 +121,7 @@ fn clustering_a_view_equals_clustering_the_materialized_child() {
     }
 }
 
-/// Shared fixed-seed hopset instance for the strategy matrix.
+/// Shared fixed-seed hopset instance for the policy matrix.
 fn hopset_instance(seed: u64, n: usize) -> CsrGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     generators::connected_random(n, 2 * n, &mut rng)
@@ -137,75 +137,80 @@ fn hopset_params() -> HopsetParams {
     }
 }
 
+/// FNV-1a 64 over every field of a build's `(Hopset, Cost)`, each word
+/// little-endian: the header counts and Cost, then the edges in order.
+fn hopset_digest(h: &Hopset, cost: Cost) -> u64 {
+    let header = [
+        h.n as u64,
+        h.edges.len() as u64,
+        h.star_count as u64,
+        h.clique_count as u64,
+        h.levels as u64,
+        cost.work,
+        cost.depth,
+    ];
+    let edges = h.edges.iter().flat_map(|e| [e.u as u64, e.v as u64, e.w]);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for byte in header.into_iter().chain(edges).flat_map(u64::to_le_bytes) {
+        digest = (digest ^ byte as u64).wrapping_mul(0x100_0000_01b3);
+    }
+    digest
+}
+
 #[test]
-fn hopset_strategy_matrix_is_byte_identical() {
+fn hopset_policy_matrix_matches_golden_digests() {
     let params = hopset_params();
-    for seed in [0u64, 9, 20150625] {
+    for (seed, golden) in [
+        (0u64, 0xcdae_13b1_3c22_05e2u64),
+        (9, 0x6836_f798_001d_9daa),
+        (20150625, 0xc01b_84c9_5f67_b75d),
+    ] {
         let g = hopset_instance(seed, 600);
         let beta0 = params.beta0(g.n());
-        // reference: sequential, materializing (the legacy pipeline)
-        let reference = build_hopset_with_strategy_on(
-            &Executor::sequential(),
-            &g,
-            &params,
-            beta0,
-            SplitStrategy::Materialize,
-            &mut StdRng::seed_from_u64(seed),
-        );
         for policy in policies() {
-            for strategy in [SplitStrategy::Arena, SplitStrategy::Materialize] {
-                let got = build_hopset_with_strategy_on(
-                    &Executor::new(policy),
-                    &g,
-                    &params,
-                    beta0,
-                    strategy,
-                    &mut StdRng::seed_from_u64(seed),
-                );
-                assert_eq!(got, reference, "seed {seed} {policy} {strategy:?}");
-            }
+            let (h, cost) = build_hopset_with_beta0_on(
+                &Executor::new(policy),
+                &g,
+                &params,
+                beta0,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            assert_eq!(hopset_digest(&h, cost), golden, "seed {seed} {policy}");
         }
-        // the public builder takes the arena path by default and must
-        // land on the same bytes
+        // the public builder must land on the same bytes
         let (built, built_cost) = HopsetBuilder::unweighted()
             .params(params)
             .build_with_rng(&g, &mut StdRng::seed_from_u64(seed))
             .unwrap();
-        assert_eq!(built.into_single(), reference.0, "builder seed {seed}");
-        assert_eq!(built_cost, reference.1, "builder cost seed {seed}");
+        assert_eq!(
+            hopset_digest(&built.into_single(), built_cost),
+            golden,
+            "builder seed {seed}"
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Arbitrary-seed sweep of the tentpole property: the arena recursion
-    /// is indistinguishable from the materializing recursion for both
-    /// execution policies.
+    /// Arbitrary-seed sweep: the arena recursion builds the same hopset
+    /// and Cost under both execution policies.
     #[test]
-    fn prop_hopset_arena_equals_materialize(seed in 0u64..5000) {
+    fn prop_hopset_arena_seq_equals_par(seed in 0u64..5000) {
         let g = hopset_instance(seed, 300);
         let params = hopset_params();
         let beta0 = params.beta0(g.n());
-        let reference = build_hopset_with_strategy_on(
-            &Executor::sequential(),
-            &g,
-            &params,
-            beta0,
-            SplitStrategy::Materialize,
-            &mut StdRng::seed_from_u64(seed),
-        );
-        for policy in policies() {
-            let arena = build_hopset_with_strategy_on(
+        let build = |policy| {
+            build_hopset_with_beta0_on(
                 &Executor::new(policy),
                 &g,
                 &params,
                 beta0,
-                SplitStrategy::Arena,
                 &mut StdRng::seed_from_u64(seed),
-            );
-            prop_assert_eq!(&arena, &reference, "{}", policy);
-        }
+            )
+        };
+        let [seq, par] = policies().map(build);
+        prop_assert_eq!(seq, par);
     }
 
     /// Views carved from arbitrary labelings cluster identically to their
